@@ -171,24 +171,38 @@ void BM_QoeMos(benchmark::State& state) {
 BENCHMARK(BM_QoeMos);
 
 // §3.2 step 1 at fleet scale: the geo-grid index against the linear
-// reference scan, over every player endpoint in the testbed.
+// reference scan, over every player endpoint in the testbed. The saturated
+// case fills seats nearest-first from the (metro-clustered) players until
+// only a quarter of the fleet still accepts — fog-daily's evening peak,
+// where most supernodes near a joining player are full.
 void BM_CandidateDiscovery(benchmark::State& state) {
   const auto fleet_size = static_cast<std::size_t>(state.range(0));
   const auto mode =
       state.range(1) != 0 ? core::CandidateMode::kGrid : core::CandidateMode::kLinear;
+  const bool saturated = state.range(2) != 0;
   auto cfg = core::TestbedConfig::peersim(std::max<std::size_t>(fleet_size, 2000));
   cfg.supernode_capable_fraction = 1.0;  // allow fleets beyond the 10 % pool
   const core::Testbed testbed(cfg, 42);
   core::Cloud cloud(testbed.make_datacenters(), testbed.latency(), net::IpLocator{});
-  cloud.set_candidate_mode(mode);
   auto fleet = testbed.make_supernode_fleet(fleet_size);
   util::Rng reg_rng(7);
   for (auto& sn : fleet) {
     cloud.register_supernode(sn, reg_rng);
     sn.deployed = true;
   }
-  constexpr std::size_t kQueries = 1000;
   std::vector<std::size_t> out;
+  if (saturated) {
+    // Claims only take seats, so the index needs no liveness reports.
+    std::size_t accepting = fleet.size();
+    const auto& players = testbed.players();
+    for (std::size_t i = 0; accepting * 4 > fleet.size(); i = (i + 1) % players.size()) {
+      cloud.candidate_supernodes_into(players[i].endpoint, fleet, 1, out);
+      core::SupernodeState& sn = fleet[out.front()];
+      if (++sn.served == sn.capacity) --accepting;
+    }
+  }
+  cloud.set_candidate_mode(mode);
+  constexpr std::size_t kQueries = 1000;
   for (auto _ : state) {
     for (std::size_t i = 0; i < kQueries; ++i) {
       cloud.candidate_supernodes_into(testbed.players()[i].endpoint, fleet, 8, out);
@@ -198,11 +212,13 @@ void BM_CandidateDiscovery(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(kQueries));
 }
 BENCHMARK(BM_CandidateDiscovery)
-    ->ArgNames({"fleet", "grid"})
-    ->Args({1000, 0})
-    ->Args({1000, 1})
-    ->Args({10000, 0})
-    ->Args({10000, 1});
+    ->ArgNames({"fleet", "grid", "saturated"})
+    ->Args({1000, 0, 0})
+    ->Args({1000, 1, 0})
+    ->Args({10000, 0, 0})
+    ->Args({10000, 1, 0})
+    ->Args({12000, 0, 1})
+    ->Args({12000, 1, 1});
 
 // One end-to-end System subcycle (population churn + demand tallies + QoS
 // pass) on the CloudFog arm: the reference engine (memoize off, serial)

@@ -23,11 +23,17 @@
 #include "bench_common.hpp"
 #include "scenario/scenario_engine.hpp"
 
+// The build points CLOUDFOG_DATA_DIR at the source tree's data/ (as for the
+// tests), so the bundled scenarios resolve from any working directory.
+#ifndef CLOUDFOG_DATA_DIR
+#define CLOUDFOG_DATA_DIR "data"
+#endif
+
 int main(int argc, char** argv) {
   using namespace cloudfog;
   (void)bench::scale_from_args(argc, argv);  // obs/threads flags; specs carry their own scale
 
-  std::string dir = "data/scenarios";
+  std::string dir = CLOUDFOG_DATA_DIR "/scenarios";
   std::vector<std::string> picked;
   bool all = false;
   bool list = false;

@@ -103,6 +103,8 @@ echo "== merge -> $OUT =="
 python3 - "$WORK_DIR/micro.json" "$WORK_DIR/scale.json" "$OUT" "$QUICK" \
   "$BUILD_TYPE" "$COMPILER" "$ALLOW_DEBUG" "$GIT_SHA" "$RUN_ID" "$CONFIG_HASH" <<'EOF'
 import json, sys
+sys.path.insert(0, "scripts")
+from bench_trend import micro_rows
 (micro_path, scale_path, out_path, quick,
  build_type, compiler, allow_debug, git_sha, run_id, config_hash) = sys.argv[1:11]
 micro = json.load(open(micro_path))
@@ -122,13 +124,7 @@ doc = {
     "quick": quick == "1",
     "context": context,
     "scale": scale,
-    "micro": [
-        {"name": b["name"], "real_time_ns": b["real_time"],
-         "cpu_time_ns": b["cpu_time"],
-         "items_per_second": b.get("items_per_second")}
-        for b in micro.get("benchmarks", [])
-        if b.get("run_type", "iteration") == "iteration"
-    ],
+    "micro": micro_rows(micro),
 }
 disc = {p["fleet"]: p for p in scale["candidate_discovery"]}
 sub = scale["subcycle"]

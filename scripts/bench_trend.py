@@ -37,6 +37,35 @@ COLUMN_RECORD = struct.Struct("<Qd")
 LOWER_IS_BETTER = ("_ms", "_ns", "_us", "per_event", "_bytes")
 HIGHER_IS_BETTER = ("speedup", "ratio", "per_second")
 
+# Google Benchmark reports real_time/cpu_time in each benchmark's own
+# ``time_unit`` (set by ->Unit(...)); nanoseconds per unit.
+NS_PER_TIME_UNIT = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
+
+
+def to_ns(value, time_unit):
+    """A Google Benchmark time in ``time_unit`` (ns/us/ms/s) as nanoseconds."""
+    if time_unit not in NS_PER_TIME_UNIT:
+        raise ValueError(f"unknown benchmark time_unit {time_unit!r}")
+    return value * NS_PER_TIME_UNIT[time_unit]
+
+
+def micro_rows(micro):
+    """Tracked rows of a Google Benchmark JSON document, times in ns.
+
+    Aggregate rows (mean/median/stddev of repetitions) are dropped; only
+    per-run iterations are tracked.
+    """
+    rows = []
+    for b in micro.get("benchmarks", []):
+        if b.get("run_type", "iteration") != "iteration":
+            continue
+        unit = b.get("time_unit", "ns")
+        rows.append({"name": b["name"],
+                     "real_time_ns": to_ns(b["real_time"], unit),
+                     "cpu_time_ns": to_ns(b["cpu_time"], unit),
+                     "items_per_second": b.get("items_per_second")})
+    return rows
+
 
 def read_manifest(store_dir):
     """Manifest rows as a list of dicts (row, run_id, git_sha, config_hash)."""

@@ -121,15 +121,26 @@ void Cloud::candidate_supernodes_linear(const net::Endpoint& player,
   for (std::size_t i = 0; i < take; ++i) out.push_back(scored[i].second);
 }
 
+void Cloud::note_liveness(const std::vector<SupernodeState>& fleet, std::size_t idx) const {
+  if (index_current(fleet)) index_.note(fleet, idx);
+}
+
+void Cloud::resync_liveness(const std::vector<SupernodeState>& fleet) const {
+  if (index_current(fleet)) index_.resync(fleet);
+}
+
+bool Cloud::index_current(const std::vector<SupernodeState>& fleet) const {
+  return indexed_fleet_ == fleet.data() && indexed_size_ == fleet.size() &&
+         indexed_epoch_ == registry_epoch_;
+}
+
 void Cloud::ensure_index(const std::vector<SupernodeState>& fleet) const {
-  if (indexed_fleet_ == fleet.data() && indexed_size_ == fleet.size() &&
-      indexed_epoch_ == registry_epoch_)
-    return;
+  if (index_current(fleet)) return;
   std::vector<net::GeoPoint> positions;
   positions.reserve(fleet.size());
   for (const SupernodeState& sn : fleet)
     positions.push_back(locator_.locate(sn.ip).value_or(sn.endpoint.position));
-  index_.rebuild(positions);
+  index_.rebuild(positions, fleet);
   indexed_fleet_ = fleet.data();
   indexed_size_ = fleet.size();
   indexed_epoch_ = registry_epoch_;

@@ -11,8 +11,10 @@
 // Candidate discovery runs on a geo-grid spatial index by default
 // (SupernodeIndex, DESIGN.md §10); the exact-equivalent linear scan is
 // kept as the engine of record for property tests and the tracked bench
-// baseline. nearest_datacenter memoizes per distinct endpoint — endpoints
-// and the datacenter set are immutable after construction.
+// baseline. The index tracks which supernodes accept; callers that free a
+// seat or revive a node report it via note_liveness / resync_liveness.
+// nearest_datacenter memoizes per distinct endpoint — endpoints and the
+// datacenter set are immutable after construction.
 #pragma once
 
 #include <bit>
@@ -74,6 +76,17 @@ class Cloud {
                                    const std::vector<SupernodeState>& fleet, std::size_t count,
                                    std::vector<std::size_t>& out) const;
 
+  /// Liveness notification for the grid index: supernode `idx` of `fleet`
+  /// may have just become accepting (a seat freed, a crash cleared). Every
+  /// transition *into* accepting must come through here or
+  /// resync_liveness; transitions out need no call (DESIGN.md §10.1).
+  /// A no-op while the index is not built for `fleet`.
+  void note_liveness(const std::vector<SupernodeState>& fleet, std::size_t idx) const;
+
+  /// Bulk form of note_liveness (redeploys, mass recovery): recomputes
+  /// every node's accepting flag from `fleet`.
+  void resync_liveness(const std::vector<SupernodeState>& fleet) const;
+
   CandidateMode candidate_mode() const { return mode_; }
   void set_candidate_mode(CandidateMode mode) { mode_ = mode; }
 
@@ -84,6 +97,8 @@ class Cloud {
   /// Lazily (re)builds the spatial index when the fleet identity or the
   /// registration epoch changed since the last build.
   void ensure_index(const std::vector<SupernodeState>& fleet) const;
+  /// True when the index was built for this fleet at the current epoch.
+  bool index_current(const std::vector<SupernodeState>& fleet) const;
 
   struct EndpointKey {
     std::uint64_t x = 0;

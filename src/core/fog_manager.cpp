@@ -264,6 +264,7 @@ void FogManager::release(PlayerState& player, std::vector<SupernodeState>& fleet
     SupernodeState& sn = fleet[player.serving.index];
     CLOUDFOG_REQUIRE(sn.served > 0, "supernode load underflow");
     --sn.served;
+    cloud_.note_liveness(fleet, player.serving.index);
   }
   player.serving = ServingRef{};
 }

@@ -20,26 +20,38 @@ bool closer(const std::pair<double, std::size_t>& a, const std::pair<double, std
 
 }  // namespace
 
-SupernodeIndex::SupernodeIndex(double cell_km) : cell_km_(cell_km) {
-  CLOUDFOG_REQUIRE(cell_km > 0.0, "grid cell size must be positive");
+double SupernodeIndex::cell_km_for(std::size_t fleet_size) {
+  if (fleet_size == 0) return 150.0;
+  return std::clamp(150.0 * std::sqrt(600.0 / static_cast<double>(fleet_size)), 25.0, 150.0);
 }
 
 std::int64_t SupernodeIndex::cell_of(double v) const {
   return static_cast<std::int64_t>(std::floor(v / cell_km_));
 }
 
-void SupernodeIndex::rebuild(const std::vector<net::GeoPoint>& positions) {
-  positions_ = positions;
+std::size_t SupernodeIndex::cell_index(const net::GeoPoint& p) const {
+  return static_cast<std::size_t>((cell_of(p.y_km) - min_cy_) * width_ +
+                                  (cell_of(p.x_km) - min_cx_));
+}
+
+void SupernodeIndex::rebuild(const std::vector<net::GeoPoint>& positions,
+                             const std::vector<SupernodeState>& fleet) {
+  CLOUDFOG_REQUIRE(positions.size() == fleet.size(), "one position per fleet node");
+  cell_km_ = cell_km_for(positions.size());
   cell_start_.clear();
-  cell_nodes_.clear();
+  cell_accepting_.clear();
+  slot_pos_.clear();
+  slot_node_.clear();
+  slot_accepting_.clear();
+  node_slot_.clear();
   min_cx_ = min_cy_ = 0;
   max_cx_ = max_cy_ = -1;
   width_ = 0;
-  if (positions_.empty()) return;
+  if (positions.empty()) return;
 
   min_cx_ = min_cy_ = std::numeric_limits<std::int64_t>::max();
   max_cx_ = max_cy_ = std::numeric_limits<std::int64_t>::min();
-  for (const net::GeoPoint& p : positions_) {
+  for (const net::GeoPoint& p : positions) {
     const std::int64_t cx = cell_of(p.x_km);
     const std::int64_t cy = cell_of(p.y_km);
     min_cx_ = std::min(min_cx_, cx);
@@ -56,40 +68,68 @@ void SupernodeIndex::rebuild(const std::vector<net::GeoPoint>& positions) {
 
   // CSR build: count per cell, exclusive prefix, then fill.
   cell_start_.assign(static_cast<std::size_t>(cells) + 1, 0);
-  for (const net::GeoPoint& p : positions_) {
-    const std::size_t c = static_cast<std::size_t>(
-        (cell_of(p.y_km) - min_cy_) * width_ + (cell_of(p.x_km) - min_cx_));
-    ++cell_start_[c + 1];
-  }
+  for (const net::GeoPoint& p : positions) ++cell_start_[cell_index(p) + 1];
   for (std::size_t c = 1; c < cell_start_.size(); ++c) cell_start_[c] += cell_start_[c - 1];
-  cell_nodes_.resize(positions_.size());
+  slot_pos_.resize(positions.size());
+  slot_node_.resize(positions.size());
+  node_slot_.resize(positions.size());
   std::vector<std::uint32_t> cursor(cell_start_.begin(), cell_start_.end() - 1);
-  for (std::size_t i = 0; i < positions_.size(); ++i) {
-    const std::size_t c = static_cast<std::size_t>(
-        (cell_of(positions_[i].y_km) - min_cy_) * width_ +
-        (cell_of(positions_[i].x_km) - min_cx_));
-    cell_nodes_[cursor[c]++] = static_cast<std::uint32_t>(i);
+  for (std::size_t i = 0; i < positions.size(); ++i) {
+    const std::uint32_t slot = cursor[cell_index(positions[i])]++;
+    slot_pos_[slot] = positions[i];
+    slot_node_[slot] = static_cast<std::uint32_t>(i);
+    node_slot_[i] = slot;
+  }
+  slot_accepting_.resize(positions.size());
+  cell_accepting_.resize(static_cast<std::size_t>(cells));
+  resync(fleet);
+}
+
+void SupernodeIndex::note(const std::vector<SupernodeState>& fleet, std::size_t idx) {
+  const std::uint32_t slot = node_slot_[idx];
+  if (slot_accepting_[slot] || !fleet[idx].accepting()) return;
+  slot_accepting_[slot] = 1;
+  ++cell_accepting_[cell_index(slot_pos_[slot])];
+}
+
+void SupernodeIndex::resync(const std::vector<SupernodeState>& fleet) {
+  CLOUDFOG_REQUIRE(fleet.size() == slot_node_.size(), "index stale: fleet size changed");
+  for (std::size_t c = 0; c < cell_accepting_.size(); ++c) {
+    std::uint32_t accepting = 0;
+    for (std::uint32_t k = cell_start_[c]; k < cell_start_[c + 1]; ++k) {
+      slot_accepting_[k] = fleet[slot_node_[k]].accepting() ? 1 : 0;
+      accepting += slot_accepting_[k];
+    }
+    cell_accepting_[c] = accepting;
   }
 }
 
 void SupernodeIndex::scan_cell(std::int64_t cx, std::int64_t cy, const net::GeoPoint& from,
-                               const std::vector<SupernodeState>& fleet) const {
+                               const std::vector<SupernodeState>& fleet) {
   const std::size_t c =
       static_cast<std::size_t>((cy - min_cy_) * width_ + (cx - min_cx_));
+  if (cell_accepting_[c] == 0) return;
   const std::uint32_t end = cell_start_[c + 1];
   for (std::uint32_t k = cell_start_[c]; k < end; ++k) {
-    const std::uint32_t idx = cell_nodes_[k];
-    if (!fleet[idx].accepting()) continue;
-    scratch_.emplace_back(net::distance_km(from, positions_[idx]), static_cast<std::size_t>(idx));
+    if (!slot_accepting_[k]) continue;
+    const std::uint32_t idx = slot_node_[k];
+    if (!fleet[idx].accepting()) {
+      // Left accepting since it was flagged (claimed, crashed, parked):
+      // clear lazily, no write site had to report it.
+      slot_accepting_[k] = 0;
+      --cell_accepting_[c];
+      continue;
+    }
+    scratch_.emplace_back(net::distance_km(from, slot_pos_[k]), static_cast<std::size_t>(idx));
   }
 }
 
 void SupernodeIndex::nearest_accepting(const net::GeoPoint& from,
                                        const std::vector<SupernodeState>& fleet,
-                                       std::size_t count, std::vector<std::size_t>& out) const {
+                                       std::size_t count, std::vector<std::size_t>& out) {
   out.clear();
-  if (count == 0 || positions_.empty()) return;
-  CLOUDFOG_REQUIRE(fleet.size() == positions_.size(), "index stale: fleet size changed");
+  if (count == 0 || slot_node_.empty()) return;
+  CLOUDFOG_REQUIRE(fleet.size() == slot_node_.size(), "index stale: fleet size changed");
 
   scratch_.clear();
   const std::int64_t cx = cell_of(from.x_km);
@@ -98,13 +138,21 @@ void SupernodeIndex::nearest_accepting(const net::GeoPoint& from,
   const std::int64_t last_ring =
       std::max(std::max(std::abs(min_cx_ - cx), std::abs(max_cx_ - cx)),
                std::max(std::abs(min_cy_ - cy), std::abs(max_cy_ - cy)));
+  // Ring r lies outside the (2r-1)-cell box centred on the query cell, so
+  // its nodes are at least (r-1)·cell + edge away, edge being the query
+  // point's distance to its own cell's border (less a millimetre of slack
+  // for the rounding in cell_of).
+  const double fx = from.x_km - static_cast<double>(cx) * cell_km_;
+  const double fy = from.y_km - static_cast<double>(cy) * cell_km_;
+  const double edge =
+      std::max(0.0, std::min({fx, cell_km_ - fx, fy, cell_km_ - fy}) - 1e-6);
   double kth = std::numeric_limits<double>::infinity();
   for (std::int64_t r = 0; r <= last_ring; ++r) {
-    // A node in ring r is at least (r-1)·cell away (the query point may sit
-    // anywhere inside its own cell). Once that lower bound strictly exceeds
-    // the current k-th best distance, no farther ring can improve or even
-    // tie-break the result set.
-    if (scratch_.size() >= count && static_cast<double>(r - 1) * cell_km_ > kth) break;
+    // Once that lower bound strictly exceeds the current k-th best
+    // distance, no farther ring can improve or even tie-break the result.
+    if (scratch_.size() >= count && r >= 1 &&
+        static_cast<double>(r - 1) * cell_km_ + edge > kth)
+      break;
     const std::size_t before = scratch_.size();
     if (r == 0) {
       if (cx >= min_cx_ && cx <= max_cx_ && cy >= min_cy_ && cy <= max_cy_) {

@@ -1,21 +1,31 @@
 // Geo-grid spatial index over registered supernode positions (perf layer
-// behind Cloud::candidate_supernodes, DESIGN.md §10).
+// behind Cloud::candidate_supernodes, DESIGN.md §10.1).
 //
 // The index answers exact k-nearest-accepting queries: bucket every
 // supernode's *geolocated* position (the registry's noisy view, not the
-// true endpoint) into fixed-size grid cells, then expand Chebyshev rings
-// around the query cell until the k-th best distance provably beats
-// anything a farther ring could hold. Liveness (deployed / failed /
-// capacity) is read from the fleet at query time, so churn in those
-// fields needs no index maintenance; only (un)registration — which can
-// change a node's geolocated position — forces a rebuild, which Cloud
-// triggers lazily via an epoch counter.
+// true endpoint) into grid cells, then expand Chebyshev rings around the
+// query cell until the k-th best distance provably beats anything a
+// farther ring could hold. The cell size is derived from the fleet size at
+// rebuild time, so the expected number of nodes per cell stays roughly
+// constant as the fleet grows.
+//
+// Liveness is tracked, not re-read wholesale: each CSR slot carries a
+// 1-byte accepting flag and each cell an accepting count, so a query skips
+// a cell with no flagged node after one read and walks only the flagged
+// slots of the others. The flags are a *superset* of the truly accepting
+// nodes:
+//   * a transition into accepting (a seat freed, a crash cleared, a node
+//     deployed) must be reported through note() or resync();
+//   * a transition out of accepting needs no report — the query re-checks
+//     `fleet[i].accepting()` for every flagged slot it visits and clears a
+//     stale flag (and its cell count) on the spot.
+// Only (un)registration — which can move a node's geolocated position —
+// forces a rebuild, which Cloud triggers lazily via an epoch counter.
 //
 // Cells live in a dense CSR layout over the populated bounding box and
 // rings are clamped to that box, so the saturated worst case (few
-// accepting nodes anywhere — every ring expands) degrades to
-// O(cells + fleet) array reads, the same order as the linear scan it
-// replaces.
+// accepting nodes anywhere — every ring expands) costs one read per cell
+// plus one per flagged slot.
 //
 // Results are ordered by (distance, fleet index): a total order, so the
 // grid path and the linear reference scan agree element-for-element.
@@ -34,41 +44,56 @@ struct SupernodeState;
 
 class SupernodeIndex {
  public:
-  /// `cell_km` trades ring fan-out against bucket occupancy; the default
-  /// suits metro-clustered fleets on the GeoPlane (≈60 km metro sigma).
-  explicit SupernodeIndex(double cell_km = 150.0);
+  /// Grid cell edge for a fleet of `fleet_size` nodes: 150 km at ≤600
+  /// nodes (the paper's fleet, against ≈60 km metro sigma), shrinking with
+  /// 1/√n so cell occupancy stays constant, floored at 25 km.
+  static double cell_km_for(std::size_t fleet_size);
 
-  /// Rebuilds from scratch: node `i` of the fleet sits at `positions[i]`.
-  void rebuild(const std::vector<net::GeoPoint>& positions);
+  /// Rebuilds from scratch: node `i` of `fleet` sits at `positions[i]`;
+  /// the accepting flags are taken from the fleet as it is now.
+  void rebuild(const std::vector<net::GeoPoint>& positions,
+               const std::vector<SupernodeState>& fleet);
 
-  std::size_t size() const { return positions_.size(); }
+  std::size_t size() const { return slot_node_.size(); }
+  double cell_km() const { return cell_km_; }
+
+  /// Node `idx` may have become accepting: flags it if it now is.
+  void note(const std::vector<SupernodeState>& fleet, std::size_t idx);
+
+  /// Recomputes every flag and cell count from the fleet (bulk changes).
+  void resync(const std::vector<SupernodeState>& fleet);
 
   /// Appends to `out` (cleared first) the indices of the `count` nearest
   /// nodes for which `fleet[i].accepting()` holds, ordered by
-  /// (distance, index). Exact — identical to a full scan. Single-threaded
-  /// (uses internal query scratch).
+  /// (distance, index). Exact — identical to a full scan. Clears stale
+  /// flags it meets; single-threaded (uses internal query scratch).
   void nearest_accepting(const net::GeoPoint& from, const std::vector<SupernodeState>& fleet,
-                         std::size_t count, std::vector<std::size_t>& out) const;
+                         std::size_t count, std::vector<std::size_t>& out);
 
  private:
   std::int64_t cell_of(double v) const;
+  std::size_t cell_index(const net::GeoPoint& p) const;
   void scan_cell(std::int64_t cx, std::int64_t cy, const net::GeoPoint& from,
-                 const std::vector<SupernodeState>& fleet) const;
+                 const std::vector<SupernodeState>& fleet);
 
   double cell_km_ = 150.0;
-  std::vector<net::GeoPoint> positions_;
-  // Dense CSR over the populated bounding box: nodes of cell (cx, cy) are
-  // cell_nodes_[cell_start_[c] .. cell_start_[c+1]) with
-  // c = (cy - min_cy_) * width_ + (cx - min_cx_).
+  // Dense CSR over the populated bounding box: slots of cell (cx, cy) are
+  // [cell_start_[c], cell_start_[c+1]) with
+  // c = (cy - min_cy_) * width_ + (cx - min_cx_). Per-slot arrays hold the
+  // node's geolocated position, its fleet index and its accepting flag.
   std::vector<std::uint32_t> cell_start_;
-  std::vector<std::uint32_t> cell_nodes_;
+  std::vector<std::uint32_t> cell_accepting_;
+  std::vector<net::GeoPoint> slot_pos_;
+  std::vector<std::uint32_t> slot_node_;
+  std::vector<std::uint8_t> slot_accepting_;
+  std::vector<std::uint32_t> node_slot_;  ///< fleet index -> slot
   std::int64_t min_cx_ = 0;
   std::int64_t max_cx_ = 0;
   std::int64_t min_cy_ = 0;
   std::int64_t max_cy_ = 0;
   std::int64_t width_ = 0;
   /// Query scratch, reused across calls (single-threaded contract).
-  mutable std::vector<std::pair<double, std::size_t>> scratch_;
+  std::vector<std::pair<double, std::size_t>> scratch_;
 };
 
 }  // namespace cloudfog::core

@@ -148,6 +148,7 @@ System::System(const Testbed& testbed, SystemConfig cfg, std::uint64_t seed)
                            ? fleet_.size()
                            : std::min(cfg_.fixed_deployment, fleet_.size());
     for (std::size_t i = 0; i < fleet_.size(); ++i) fleet_[i].deployed = i < base_deployment_;
+    cloud_.resync_liveness(fleet_);
   } else if (cfg_.architecture == Architecture::kCdn) {
     cdn_ = testbed_.make_cdn_servers(cfg_.cdn_server_count);
   }
@@ -240,6 +241,7 @@ std::size_t System::on_crash(const fault::FaultSpec& spec) {
     SupernodeState& sn = fleet_[target];
     CLOUDFOG_REQUIRE(sn.served > 0, "supernode load underflow");
     --sn.served;
+    cloud_.note_liveness(fleet_, target);
     p.serving = ServingRef{};
     p.reputation.add_rating(target, 0.0, current_day_);
 
@@ -282,7 +284,10 @@ std::size_t System::on_crash(const fault::FaultSpec& spec) {
 
 void System::on_crash_cleared(const fault::FaultSpec& spec, std::size_t target) {
   (void)spec;
-  if (target < fleet_.size()) fleet_[target].failed = false;
+  if (target < fleet_.size()) {
+    fleet_[target].failed = false;
+    cloud_.note_liveness(fleet_, target);
+  }
   fallback_.note_fleet_change(fault_sim_.now());
 }
 
@@ -614,6 +619,7 @@ void System::maybe_run_provisioning(int day, int subcycle) {
       std::max(provisioner_.supernodes_needed(mean_fleet_capacity_), base_deployment_);
   util::Rng deploy_rng = rng_.fork("deploy");
   provisioner_.deploy(fleet_, wanted, deploy_rng);
+  cloud_.resync_liveness(fleet_);
   migrate_players_off_undeployed(day);
 
   auto& rec = obs::Recorder::global();
@@ -769,6 +775,7 @@ std::vector<double> System::inject_supernode_failures(std::size_t count, int day
     // The seat is gone with the failure.
     CLOUDFOG_REQUIRE(failed_sn.served > 0, "supernode load underflow");
     --failed_sn.served;
+    cloud_.note_liveness(fleet_, p.serving.index);
     p.serving = ServingRef{};
     util::Rng mig_rng = rng_.fork("migrate");
     const auto outcome = fog_.migrate(p, fleet_, testbed_.catalog(), day,
@@ -794,6 +801,7 @@ std::vector<double> System::inject_supernode_failures(std::size_t count, int day
 
 void System::recover_supernodes() {
   for (auto& sn : fleet_) sn.failed = false;
+  cloud_.resync_liveness(fleet_);
 }
 
 double System::measure_server_assignment_seconds() {

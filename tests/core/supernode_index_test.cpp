@@ -1,15 +1,20 @@
-// Grid-vs-linear candidate discovery equality (DESIGN.md §10): the
+// Grid-vs-linear candidate discovery equality (DESIGN.md §10.1): the
 // geo-grid index must return element-for-element what the reference
 // linear scan returns — same indices, same order — across randomized
 // fleets, capacity/deployment churn and fleet swaps, because the two
 // paths are interchangeable behind Cloud::candidate_supernodes and the
-// determinism gate compares runs that may differ only in mode.
+// determinism gate compares runs that may differ only in mode. The index
+// tracks liveness: transitions into accepting are reported through
+// Cloud::note_liveness / resync_liveness, transitions out need no report.
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "core/cloud.hpp"
+#include "core/entities.hpp"
+#include "core/supernode_index.hpp"
 #include "core/testbed.hpp"
 #include "net/ip_locator.hpp"
 #include "util/rng.hpp"
@@ -23,9 +28,15 @@ class SupernodeIndexProperty : public ::testing::Test {
   SupernodeIndexProperty() : testbed_(make_config(), 4242) {}
 
   static core::TestbedConfig make_config() {
-    auto cfg = core::TestbedConfig::peersim(2000);
-    cfg.supernode_capable_fraction = 1.0;  // allow fleets up to 2000
+    auto cfg = core::TestbedConfig::peersim(12000);
+    cfg.supernode_capable_fraction = 1.0;  // allow fleets up to 12000
     return cfg;
+  }
+
+  const net::Endpoint& random_player(util::Rng& rng) const {
+    return testbed_.players()[static_cast<std::size_t>(rng.uniform_int(
+                                  0, static_cast<std::int64_t>(testbed_.players().size()) - 1))]
+        .endpoint;
   }
 
   core::Cloud make_cloud() const {
@@ -64,7 +75,7 @@ class SupernodeIndexProperty : public ::testing::Test {
 
 TEST_F(SupernodeIndexProperty, MatchesLinearAcrossRandomFleetsAndChurn) {
   util::Rng rng(99);
-  const std::size_t fleet_sizes[] = {1, 7, 60, 600, 2000};
+  const std::size_t fleet_sizes[] = {1, 7, 60, 600, 2000, 12000};
   for (const std::size_t size : fleet_sizes) {
     core::Cloud cloud = make_cloud();
     auto fleet = testbed_.make_supernode_fleet(size);
@@ -72,16 +83,65 @@ TEST_F(SupernodeIndexProperty, MatchesLinearAcrossRandomFleetsAndChurn) {
     register_and_churn(cloud, fleet, reg_rng);
     for (int round = 0; round < 4; ++round) {
       for (int q = 0; q < 32; ++q) {
-        const auto& player = testbed_.players()[static_cast<std::size_t>(rng.uniform_int(
-            0, static_cast<std::int64_t>(testbed_.players().size()) - 1))];
         const std::size_t count = static_cast<std::size_t>(rng.uniform_int(1, 13));
-        expect_modes_agree(cloud, fleet, player.endpoint, count);
+        expect_modes_agree(cloud, fleet, random_player(rng), count);
       }
-      // Capacity / deployment / failure churn needs no index rebuild:
-      // accepting() is read at query time.
+      // The churn writes fields directly, in both directions; the nodes it
+      // turns accepting must be reported like any bulk change.
       churn(fleet, rng);
+      cloud.resync_liveness(fleet);
     }
   }
+}
+
+TEST_F(SupernodeIndexProperty, UnreportedExitsFromAcceptingStillMatchLinear) {
+  // Leaving the accepting set needs no report: the query re-checks every
+  // flagged node and drops the stale ones. Each round takes nodes out of
+  // service by direct field writes — seats filled, crashes, withdrawals —
+  // and never tells the cloud.
+  util::Rng rng(31);
+  const std::size_t fleet_sizes[] = {60, 600, 2000, 12000};
+  for (const std::size_t size : fleet_sizes) {
+    core::Cloud cloud = make_cloud();
+    auto fleet = testbed_.make_supernode_fleet(size);
+    for (auto& sn : fleet) {
+      cloud.register_supernode(sn, rng);
+      sn.deployed = true;
+    }
+    for (int round = 0; round < 6; ++round) {
+      for (int q = 0; q < 24; ++q) {
+        expect_modes_agree(cloud, fleet, random_player(rng), 8);
+      }
+      for (auto& sn : fleet) {
+        if (!rng.chance(0.25)) continue;
+        switch (rng.uniform_int(0, 2)) {
+          case 0: sn.served = sn.capacity; break;
+          case 1: sn.failed = true; break;
+          default: sn.deployed = false; break;
+        }
+      }
+    }
+    // Everything gone: nothing may be returned.
+    for (auto& sn : fleet) sn.failed = true;
+    expect_modes_agree(cloud, fleet, random_player(rng), 8);
+    EXPECT_TRUE(grid_.empty());
+  }
+}
+
+TEST(SupernodeIndex, CellSizeFollowsFleetSize) {
+  // 150 km up to the paper's 600-node fleet, then ∝ 1/√n, floored at 25 km.
+  EXPECT_DOUBLE_EQ(core::SupernodeIndex::cell_km_for(0), 150.0);
+  EXPECT_DOUBLE_EQ(core::SupernodeIndex::cell_km_for(60), 150.0);
+  EXPECT_DOUBLE_EQ(core::SupernodeIndex::cell_km_for(600), 150.0);
+  EXPECT_NEAR(core::SupernodeIndex::cell_km_for(6000), 47.43, 0.01);
+  EXPECT_NEAR(core::SupernodeIndex::cell_km_for(12000), 33.54, 0.01);
+  EXPECT_DOUBLE_EQ(core::SupernodeIndex::cell_km_for(1000000), 25.0);
+
+  core::SupernodeIndex index;
+  index.rebuild(std::vector<net::GeoPoint>(6000, net::GeoPoint{10.0, 20.0}),
+                std::vector<core::SupernodeState>(6000));
+  EXPECT_EQ(index.size(), 6000u);
+  EXPECT_DOUBLE_EQ(index.cell_km(), core::SupernodeIndex::cell_km_for(6000));
 }
 
 TEST_F(SupernodeIndexProperty, EmptyFleetReturnsNothing) {

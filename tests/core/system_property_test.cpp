@@ -4,6 +4,7 @@
 // if an experiment config breaks accounting, it fails here first.
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <string>
 
 #include "core/baselines.hpp"
@@ -25,6 +26,11 @@ struct SystemCase {
   WorkloadMode workload;
   std::size_t fixed_deployment;
 };
+
+// gtest puts the printed parameter into the listed test name, which becomes
+// the ctest name. The default byte dump would include the std::string's
+// buffer pointer, so the name would change from run to run under ASLR.
+void PrintTo(const SystemCase& c, std::ostream* os) { *os << c.name; }
 
 class SystemInvariants : public ::testing::TestWithParam<SystemCase> {};
 

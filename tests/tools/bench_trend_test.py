@@ -3,7 +3,8 @@
 synthetic 20% subcycle-time regression, pass a clean run, respect the
 warn/enforce modes, and read exactly the column format obs::RunStore
 writes (the append_run writer here is byte-compatible by construction and
-cross-checked against the C++ reader in scripts/check.sh)."""
+cross-checked against the C++ reader in scripts/check.sh), and convert
+Google Benchmark times to nanoseconds from each row's time_unit."""
 
 import os
 import shutil
@@ -113,6 +114,39 @@ class BenchTrendTest(unittest.TestCase):
         seed_history(self.store)
         with self.assertRaises(ValueError):
             bench_trend.trend(self.store, "missing", 0.10, 2)
+
+
+class MicroUnitsTest(unittest.TestCase):
+    """scripts/bench.sh records micro times through micro_rows: every row
+    must be in nanoseconds whatever ->Unit() the benchmark reports in."""
+
+    def test_to_ns_scales_every_google_benchmark_unit(self):
+        self.assertEqual(bench_trend.to_ns(3.0, "ns"), 3.0)
+        self.assertEqual(bench_trend.to_ns(3.0, "us"), 3e3)
+        self.assertEqual(bench_trend.to_ns(0.30, "ms"), 0.30 * 1e6)
+        self.assertEqual(bench_trend.to_ns(2.0, "s"), 2e9)
+        with self.assertRaises(ValueError):
+            bench_trend.to_ns(1.0, "min")
+
+    def test_micro_rows_normalise_and_drop_aggregates(self):
+        micro = {"benchmarks": [
+            {"name": "BM_QosSubcycle/players:2000/memo:1/threads:1",
+             "run_type": "iteration", "real_time": 0.30, "cpu_time": 0.29,
+             "time_unit": "ms", "items_per_second": 6.6e6},
+            {"name": "BM_CandidateDiscovery/fleet:1000/grid:1/saturated:0",
+             "run_type": "iteration", "real_time": 1.2e6, "cpu_time": 1.1e6,
+             "time_unit": "ns"},
+            {"name": "BM_QosSubcycle/players:2000/memo:1/threads:1_mean",
+             "run_type": "aggregate", "real_time": 0.30, "cpu_time": 0.29,
+             "time_unit": "ms"},
+        ]}
+        rows = bench_trend.micro_rows(micro)
+        self.assertEqual(len(rows), 2)
+        self.assertAlmostEqual(rows[0]["real_time_ns"], 300000.0)
+        self.assertAlmostEqual(rows[0]["cpu_time_ns"], 290000.0)
+        self.assertEqual(rows[0]["items_per_second"], 6.6e6)
+        self.assertEqual(rows[1]["real_time_ns"], 1.2e6)
+        self.assertIsNone(rows[1]["items_per_second"])
 
 
 if __name__ == "__main__":
