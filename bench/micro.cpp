@@ -172,14 +172,16 @@ BENCHMARK(BM_QoeMos);
 
 // §3.2 step 1 at fleet scale: the geo-grid index against the linear
 // reference scan, over every player endpoint in the testbed. The saturated
-// case fills seats nearest-first from the (metro-clustered) players until
-// only a quarter of the fleet still accepts — fog-daily's evening peak,
-// where most supernodes near a joining player are full.
+// cases fill seats nearest-first from the (metro-clustered) players:
+// saturated=1 until only a quarter of the fleet still accepts — fog-daily's
+// evening peak, where most supernodes near a joining player are full —
+// and saturated=2 until at most 8 nodes accept anywhere, the drained fleet
+// in which every query would otherwise walk the whole grid.
 void BM_CandidateDiscovery(benchmark::State& state) {
   const auto fleet_size = static_cast<std::size_t>(state.range(0));
   const auto mode =
       state.range(1) != 0 ? core::CandidateMode::kGrid : core::CandidateMode::kLinear;
-  const bool saturated = state.range(2) != 0;
+  const std::int64_t saturated = state.range(2);
   auto cfg = core::TestbedConfig::peersim(std::max<std::size_t>(fleet_size, 2000));
   cfg.supernode_capable_fraction = 1.0;  // allow fleets beyond the 10 % pool
   const core::Testbed testbed(cfg, 42);
@@ -191,11 +193,12 @@ void BM_CandidateDiscovery(benchmark::State& state) {
     sn.deployed = true;
   }
   std::vector<std::size_t> out;
-  if (saturated) {
+  if (saturated != 0) {
     // Claims only take seats, so the index needs no liveness reports.
+    const std::size_t keep = saturated == 1 ? fleet.size() / 4 : 8;
     std::size_t accepting = fleet.size();
     const auto& players = testbed.players();
-    for (std::size_t i = 0; accepting * 4 > fleet.size(); i = (i + 1) % players.size()) {
+    for (std::size_t i = 0; accepting > keep; i = (i + 1) % players.size()) {
       cloud.candidate_supernodes_into(players[i].endpoint, fleet, 1, out);
       core::SupernodeState& sn = fleet[out.front()];
       if (++sn.served == sn.capacity) --accepting;
@@ -218,7 +221,28 @@ BENCHMARK(BM_CandidateDiscovery)
     ->Args({10000, 0, 0})
     ->Args({10000, 1, 0})
     ->Args({12000, 0, 1})
-    ->Args({12000, 1, 1});
+    ->Args({12000, 1, 1})
+    ->Args({12000, 0, 2})
+    ->Args({12000, 1, 2});
+
+// Eq. 16 redeploy of a whole fleet: wanted_pct=100 deploys every node (no
+// draws needed), 67 draws two thirds of it without replacement. Popularity
+// ranks are heavily tied, as after a quiet window.
+void BM_ProvisionerDeploy(benchmark::State& state) {
+  const auto fleet_size = static_cast<std::size_t>(state.range(0));
+  const std::size_t wanted = fleet_size * static_cast<std::size_t>(state.range(1)) / 100;
+  const core::Provisioner prov(core::ProvisionerConfig{});
+  std::vector<core::SupernodeState> fleet(fleet_size);
+  util::Rng rng(11);
+  for (auto& sn : fleet) sn.supported_last_window = static_cast<int>(rng.uniform_int(0, 8));
+  for (auto _ : state) benchmark::DoNotOptimize(prov.deploy(fleet, wanted, rng));
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(wanted));
+}
+BENCHMARK(BM_ProvisionerDeploy)
+    ->ArgNames({"fleet", "wanted_pct"})
+    ->Args({12000, 100})
+    ->Args({6000, 67})
+    ->Unit(benchmark::kMillisecond);
 
 // One end-to-end System subcycle (population churn + demand tallies + QoS
 // pass) on the CloudFog arm: the reference engine (memoize off, serial)

@@ -9,6 +9,8 @@
 #      (wall-clock phase timings are the only sanctioned difference —
 #      tools/determinism/canonicalize_report.py). Both workloads also run
 #      with --threads 4 and must match the serial traces byte-for-byte.
+#      fig13 (Eq. 16 with a partial target) runs twice and with
+#      --threads 4; stdout and canonical reports must match.
 #   5. scenario gate: the bundled data/scenarios suite runs in smoke mode
 #      with every acceptance envelope enforced; the reputation ablation
 #      (--no-reputation --expect-fail) must make at least one adversary
@@ -95,6 +97,25 @@ cmp -s "$SMOKE_DIR/fig7_trace_a.jsonl" "$SMOKE_DIR/fig7_trace_mt.jsonl" || {
 cmp -s "$SMOKE_DIR/fig7_stdout_a.txt" "$SMOKE_DIR/fig7_stdout_mt.txt" || {
   echo "determinism gate FAILED: fig7 stdout differs between --threads 1 and 4" >&2; exit 1; }
 echo "fig7: 4-thread run byte-identical to serial"
+
+# fig13 runs Eq. 16 with a partial deployment target, which neither fig7
+# nor the chaos smoke reaches. No --trace: its JSONL runs to ~750 MB.
+echo "== determinism gate: double-run fig13 (partial provisioning) =="
+./build/bench/bench_fig13_provisioning_bw --quick \
+  --report-json "$SMOKE_DIR/fig13_report_a.json" >"$SMOKE_DIR/fig13_stdout_a.txt"
+./build/bench/bench_fig13_provisioning_bw --quick \
+  --report-json "$SMOKE_DIR/fig13_report_b.json" >"$SMOKE_DIR/fig13_stdout_b.txt"
+./build/bench/bench_fig13_provisioning_bw --quick --threads 4 \
+  --report-json "$SMOKE_DIR/fig13_report_mt.json" >"$SMOKE_DIR/fig13_stdout_mt.txt"
+for run in b mt; do
+  cmp -s "$SMOKE_DIR/fig13_stdout_a.txt" "$SMOKE_DIR/fig13_stdout_$run.txt" || {
+    echo "determinism gate FAILED: fig13 stdout differs (run $run)" >&2; exit 1; }
+  python3 tools/determinism/canonicalize_report.py --check \
+    "$SMOKE_DIR/fig13_report_a.json" "$SMOKE_DIR/fig13_report_$run.json" || {
+    echo "determinism gate FAILED: fig13 report differs beyond phase timings (run $run)" >&2
+    exit 1; }
+done
+echo "fig13: stdout and canonical report identical (including --threads 4)"
 
 echo "== determinism gate: double-run seeded chaos =="
 CLOUDFOG_FAULT_SEED=424242 ./build/bench/bench_ext_chaos --quick \

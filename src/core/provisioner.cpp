@@ -41,11 +41,16 @@ std::size_t Provisioner::deploy(std::vector<SupernodeState>& fleet, std::size_t 
                                 util::Rng& rng) const {
   CLOUDFOG_TIMED_SCOPE("provision.deploy");
   // Rank candidates by last window's supported players, descending
-  // (stable on id for determinism).
+  // (stable on id for determinism); failed ones are never candidates.
   std::vector<std::size_t> ranked;
   ranked.reserve(fleet.size());
   for (std::size_t i = 0; i < fleet.size(); ++i) {
     if (!fleet[i].failed) ranked.push_back(i);
+  }
+  if (wanted >= ranked.size()) {
+    // Everyone who can be deployed is: the draw order cannot matter.
+    for (auto& sn : fleet) sn.deployed = !sn.failed;
+    return ranked.size();
   }
   std::stable_sort(ranked.begin(), ranked.end(), [&fleet](std::size_t a, std::size_t b) {
     return fleet[a].supported_last_window > fleet[b].supported_last_window;
@@ -53,19 +58,21 @@ std::size_t Provisioner::deploy(std::vector<SupernodeState>& fleet, std::size_t 
 
   for (auto& sn : fleet) sn.deployed = false;
 
-  const std::size_t target = std::min(wanted, ranked.size());
   // Sample without replacement with rank-harmonic weights: draw from the
-  // remaining candidates with P ∝ 1/rank until `target` are chosen.
+  // remaining candidates with P ∝ 1/rank until `wanted` are chosen.
   std::vector<double> weight(ranked.size());
   for (std::size_t j = 0; j < ranked.size(); ++j) weight[j] = 1.0 / static_cast<double>(j + 1);
   std::size_t deployed = 0;
   double weight_left = 0.0;
   for (double w : weight) weight_left += w;
   std::vector<bool> taken(ranked.size(), false);
-  while (deployed < target) {
+  std::size_t first_free = 0;  // every rank below it is taken
+  while (deployed < wanted) {
     double u = rng.next_double() * weight_left;
+    // Starting past the taken prefix leaves the u -= weight[j] sequence of
+    // a scan from rank 0 unchanged.
     std::size_t pick = ranked.size();
-    for (std::size_t j = 0; j < ranked.size(); ++j) {
+    for (std::size_t j = first_free; j < ranked.size(); ++j) {
       if (taken[j]) continue;
       if (u < weight[j]) {
         pick = j;
@@ -73,16 +80,10 @@ std::size_t Provisioner::deploy(std::vector<SupernodeState>& fleet, std::size_t 
       }
       u -= weight[j];
     }
-    if (pick == ranked.size()) {
-      // Numerical tail: take the first free candidate.
-      for (std::size_t j = 0; j < ranked.size(); ++j) {
-        if (!taken[j]) {
-          pick = j;
-          break;
-        }
-      }
-    }
+    // Numerical tail: take the first free candidate.
+    if (pick == ranked.size()) pick = first_free;
     taken[pick] = true;
+    while (first_free < ranked.size() && taken[first_free]) ++first_free;
     weight_left -= weight[pick];
     fleet[ranked[pick]].deployed = true;
     ++deployed;

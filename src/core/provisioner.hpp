@@ -51,6 +51,12 @@ class Provisioner {
   /// Candidates are ranked by supported_last_window descending and drawn
   /// without replacement with rank-harmonic probability; failed
   /// supernodes are skipped. Returns the number actually deployed.
+  ///
+  /// Cost: O(n) when `wanted` covers every non-failed node (all of them
+  /// are deployed, no draws are made). Otherwise O(n log n) for the
+  /// ranking plus, per pick, a scan from the first untaken rank to the
+  /// pick — about n / ln n ranks under the harmonic weights — so
+  /// O(wanted · n / ln n) in all.
   std::size_t deploy(std::vector<SupernodeState>& fleet, std::size_t wanted,
                      util::Rng& rng) const;
 

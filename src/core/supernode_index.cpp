@@ -44,6 +44,8 @@ void SupernodeIndex::rebuild(const std::vector<net::GeoPoint>& positions,
   slot_node_.clear();
   slot_accepting_.clear();
   node_slot_.clear();
+  flagged_.clear();
+  flagged_pos_.clear();
   min_cx_ = min_cy_ = 0;
   max_cx_ = max_cy_ = -1;
   width_ = 0;
@@ -81,26 +83,43 @@ void SupernodeIndex::rebuild(const std::vector<net::GeoPoint>& positions,
     node_slot_[i] = slot;
   }
   slot_accepting_.resize(positions.size());
+  flagged_pos_.resize(positions.size());
   cell_accepting_.resize(static_cast<std::size_t>(cells));
   resync(fleet);
+}
+
+void SupernodeIndex::flag(std::uint32_t slot, std::size_t c) {
+  slot_accepting_[slot] = 1;
+  ++cell_accepting_[c];
+  flagged_pos_[slot] = static_cast<std::uint32_t>(flagged_.size());
+  flagged_.push_back(slot);
+}
+
+void SupernodeIndex::unflag(std::uint32_t slot, std::size_t c) {
+  slot_accepting_[slot] = 0;
+  --cell_accepting_[c];
+  // Swap-remove: the list's last slot takes this slot's place.
+  const std::uint32_t last = flagged_.back();
+  flagged_[flagged_pos_[slot]] = last;
+  flagged_pos_[last] = flagged_pos_[slot];
+  flagged_.pop_back();
 }
 
 void SupernodeIndex::note(const std::vector<SupernodeState>& fleet, std::size_t idx) {
   const std::uint32_t slot = node_slot_[idx];
   if (slot_accepting_[slot] || !fleet[idx].accepting()) return;
-  slot_accepting_[slot] = 1;
-  ++cell_accepting_[cell_index(slot_pos_[slot])];
+  flag(slot, cell_index(slot_pos_[slot]));
 }
 
 void SupernodeIndex::resync(const std::vector<SupernodeState>& fleet) {
   CLOUDFOG_REQUIRE(fleet.size() == slot_node_.size(), "index stale: fleet size changed");
+  std::fill(slot_accepting_.begin(), slot_accepting_.end(), 0);
+  std::fill(cell_accepting_.begin(), cell_accepting_.end(), 0);
+  flagged_.clear();
   for (std::size_t c = 0; c < cell_accepting_.size(); ++c) {
-    std::uint32_t accepting = 0;
     for (std::uint32_t k = cell_start_[c]; k < cell_start_[c + 1]; ++k) {
-      slot_accepting_[k] = fleet[slot_node_[k]].accepting() ? 1 : 0;
-      accepting += slot_accepting_[k];
+      if (fleet[slot_node_[k]].accepting()) flag(k, c);
     }
-    cell_accepting_[c] = accepting;
   }
 }
 
@@ -116,8 +135,21 @@ void SupernodeIndex::scan_cell(std::int64_t cx, std::int64_t cy, const net::GeoP
     if (!fleet[idx].accepting()) {
       // Left accepting since it was flagged (claimed, crashed, parked):
       // clear lazily, no write site had to report it.
-      slot_accepting_[k] = 0;
-      --cell_accepting_[c];
+      unflag(k, c);
+      continue;
+    }
+    scratch_.emplace_back(net::distance_km(from, slot_pos_[k]), static_cast<std::size_t>(idx));
+  }
+}
+
+void SupernodeIndex::scan_flagged(const net::GeoPoint& from,
+                                  const std::vector<SupernodeState>& fleet) {
+  // From the back, so a swap-remove only moves an already visited slot.
+  for (std::size_t i = flagged_.size(); i-- > 0;) {
+    const std::uint32_t k = flagged_[i];
+    const std::uint32_t idx = slot_node_[k];
+    if (!fleet[idx].accepting()) {
+      unflag(k, cell_index(slot_pos_[k]));
       continue;
     }
     scratch_.emplace_back(net::distance_km(from, slot_pos_[k]), static_cast<std::size_t>(idx));
@@ -147,16 +179,27 @@ void SupernodeIndex::nearest_accepting(const net::GeoPoint& from,
   const double edge =
       std::max(0.0, std::min({fx, cell_km_ - fx, fy, cell_km_ - fy}) - 1e-6);
   double kth = std::numeric_limits<double>::infinity();
+  std::size_t visited = 0;  // cells read so far
   for (std::int64_t r = 0; r <= last_ring; ++r) {
     // Once that lower bound strictly exceeds the current k-th best
     // distance, no farther ring can improve or even tie-break the result.
     if (scratch_.size() >= count && r >= 1 &&
         static_cast<double>(r - 1) * cell_km_ + edge > kth)
       break;
+    // Drained fleet: the rings have cost as many reads as there are
+    // flagged slots, so reading those slots directly is now cheaper than
+    // going on. The list holds every flagged slot, the ring partials
+    // included, so start over from it.
+    if (visited >= flagged_.size()) {
+      scratch_.clear();
+      scan_flagged(from, fleet);
+      break;
+    }
     const std::size_t before = scratch_.size();
     if (r == 0) {
       if (cx >= min_cx_ && cx <= max_cx_ && cy >= min_cy_ && cy <= max_cy_) {
         scan_cell(cx, cy, from, fleet);
+        ++visited;
       }
     } else {
       // Ring perimeter clamped to the populated bounding box: rows outside
@@ -164,19 +207,25 @@ void SupernodeIndex::nearest_accepting(const net::GeoPoint& from,
       // cells, so they cost nothing.
       const std::int64_t x0 = std::max(cx - r, min_cx_);
       const std::int64_t x1 = std::min(cx + r, max_cx_);
+      const auto row_cells = static_cast<std::size_t>(std::max<std::int64_t>(0, x1 - x0 + 1));
       if (cy - r >= min_cy_ && cy - r <= max_cy_) {
         for (std::int64_t x = x0; x <= x1; ++x) scan_cell(x, cy - r, from, fleet);
+        visited += row_cells;
       }
       if (cy + r >= min_cy_ && cy + r <= max_cy_) {
         for (std::int64_t x = x0; x <= x1; ++x) scan_cell(x, cy + r, from, fleet);
+        visited += row_cells;
       }
       const std::int64_t y0 = std::max(cy - r + 1, min_cy_);
       const std::int64_t y1 = std::min(cy + r - 1, max_cy_);
+      const auto column_cells = static_cast<std::size_t>(std::max<std::int64_t>(0, y1 - y0 + 1));
       if (cx - r >= min_cx_ && cx - r <= max_cx_) {
         for (std::int64_t y = y0; y <= y1; ++y) scan_cell(cx - r, y, from, fleet);
+        visited += column_cells;
       }
       if (cx + r >= min_cx_ && cx + r <= max_cx_) {
         for (std::int64_t y = y0; y <= y1; ++y) scan_cell(cx + r, y, from, fleet);
+        visited += column_cells;
       }
     }
     // Re-derive the k-th best only when this ring contributed candidates —

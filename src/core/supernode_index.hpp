@@ -23,9 +23,12 @@
 // forces a rebuild, which Cloud triggers lazily via an epoch counter.
 //
 // Cells live in a dense CSR layout over the populated bounding box and
-// rings are clamped to that box, so the saturated worst case (few
-// accepting nodes anywhere — every ring expands) costs one read per cell
-// plus one per flagged slot.
+// rings are clamped to that box. The flagged slots are also kept in a
+// dense list, so a drained fleet (fewer accepting nodes than a ring walk
+// would read cells) is answered from that list instead: once the cells
+// visited reach the flagged count, the query drops its ring partials and
+// scans the list. A query thus costs O(min(cells in box,
+// 2·flagged + one ring)) — what is left of the fleet, not the grid's area.
 //
 // Results are ordered by (distance, fleet index): a total order, so the
 // grid path and the linear reference scan agree element-for-element.
@@ -75,6 +78,11 @@ class SupernodeIndex {
   std::size_t cell_index(const net::GeoPoint& p) const;
   void scan_cell(std::int64_t cx, std::int64_t cy, const net::GeoPoint& from,
                  const std::vector<SupernodeState>& fleet);
+  void scan_flagged(const net::GeoPoint& from, const std::vector<SupernodeState>& fleet);
+  /// Sets / clears slot `slot`'s flag, its cell count (cell `c`) and its
+  /// entry in the flagged list.
+  void flag(std::uint32_t slot, std::size_t c);
+  void unflag(std::uint32_t slot, std::size_t c);
 
   double cell_km_ = 150.0;
   // Dense CSR over the populated bounding box: slots of cell (cx, cy) are
@@ -87,6 +95,10 @@ class SupernodeIndex {
   std::vector<std::uint32_t> slot_node_;
   std::vector<std::uint8_t> slot_accepting_;
   std::vector<std::uint32_t> node_slot_;  ///< fleet index -> slot
+  /// Exactly the slots whose flag is set, in no particular order, and
+  /// each flagged slot's position in it (unspecified for unflagged ones).
+  std::vector<std::uint32_t> flagged_;
+  std::vector<std::uint32_t> flagged_pos_;
   std::int64_t min_cx_ = 0;
   std::int64_t max_cx_ = 0;
   std::int64_t min_cy_ = 0;

@@ -70,13 +70,14 @@ class FogWriteSites : public ::testing::Test {
     online_.clear();
   }
 
-  /// A fresh offline session at a random testbed endpoint. The most
-  /// lenient game keeps L_max from hiding discovery behind cloud fallback.
-  std::size_t new_session() {
+  /// A fresh offline session at testbed player `player`'s endpoint, a
+  /// random one by default. The most lenient game keeps L_max from hiding
+  /// discovery behind cloud fallback.
+  std::size_t new_session(std::optional<std::size_t> player = std::nullopt) {
     const auto& players = big_testbed().players();
     PlayerState p;
-    p.info = players[static_cast<std::size_t>(
-        rng_.uniform_int(0, static_cast<std::int64_t>(players.size()) - 1))];
+    p.info = players[player.value_or(static_cast<std::size_t>(
+        rng_.uniform_int(0, static_cast<std::int64_t>(players.size()) - 1)))];
     p.info.id = sessions_.size();
     p.game = 4;
     sessions_.push_back(std::move(p));
@@ -175,6 +176,42 @@ TEST_F(FogWriteSites, MetroSaturatedFleetKeepsGridEqualToLinear) {
   }
   EXPECT_EQ(accepting_count(fleet_), fleet_.size());
   for (int q = 0; q < 64; ++q) check(new_session());
+}
+
+TEST_F(FogWriteSites, DrainToEmptyThenRefillKeepGridEqualToLinear) {
+  // Claims run the fleet completely dry, so the last claims and the first
+  // releases meet fewer accepting nodes than a ring walk reads cells — the
+  // index answers them from its flagged list. Each session joins at the
+  // machine of a node that still accepts, so the claims reach every seat.
+  for (const std::size_t size : {600, 2000}) {
+    SCOPED_TRACE(size);
+    build(size);
+    std::vector<std::size_t> open;
+    const std::size_t limit = 40 * size;
+    for (std::size_t claims = 0; claims < limit; ++claims) {
+      open.clear();
+      for (std::size_t i = 0; i < fleet_.size(); ++i) {
+        if (fleet_[i].accepting()) open.push_back(i);
+      }
+      if (open.empty()) break;
+      const std::size_t target = open[static_cast<std::size_t>(
+          rng_.uniform_int(0, static_cast<std::int64_t>(open.size()) - 1))];
+      const std::size_t s = new_session(fleet_[target].owner_player);
+      claim(s);
+      if (open.size() <= 64 || claims % 64 == 0) check(s);
+      if (HasFatalFailure()) return;
+    }
+    ASSERT_EQ(accepting_count(fleet_), 0u) << "claims did not drain the fleet";
+    for (int q = 0; q < 16; ++q) check(new_session());
+    // Refill: every release reports a node re-entering service.
+    while (!online_.empty()) {
+      const std::size_t s = take_online();
+      fog_->release(sessions_[s], fleet_);
+      if (accepting_count(fleet_) <= 64 || online_.size() % 64 == 0) check(s);
+      if (HasFatalFailure()) return;
+    }
+    EXPECT_EQ(accepting_count(fleet_), fleet_.size());
+  }
 }
 
 /// The System's own write sites: crash and clear through the fault

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+
 #include "util/require.hpp"
 
 namespace cloudfog::core {
@@ -89,6 +92,88 @@ TEST(Provisioner, BusySupernodesPreferred) {
     }
   }
   EXPECT_GT(busy_picks, idle_picks * 2);
+}
+
+/// The Eq. 16 sampler as first written — a plain scan from rank 0 for
+/// every pick, taken ranks included — kept verbatim as the oracle for
+/// Provisioner::deploy.
+std::size_t reference_deploy(std::vector<SupernodeState>& fleet, std::size_t wanted,
+                             util::Rng& rng) {
+  std::vector<std::size_t> ranked;
+  ranked.reserve(fleet.size());
+  for (std::size_t i = 0; i < fleet.size(); ++i) {
+    if (!fleet[i].failed) ranked.push_back(i);
+  }
+  std::stable_sort(ranked.begin(), ranked.end(), [&fleet](std::size_t a, std::size_t b) {
+    return fleet[a].supported_last_window > fleet[b].supported_last_window;
+  });
+
+  for (auto& sn : fleet) sn.deployed = false;
+
+  const std::size_t target = std::min(wanted, ranked.size());
+  std::vector<double> weight(ranked.size());
+  for (std::size_t j = 0; j < ranked.size(); ++j) weight[j] = 1.0 / static_cast<double>(j + 1);
+  std::size_t deployed = 0;
+  double weight_left = 0.0;
+  for (double w : weight) weight_left += w;
+  std::vector<bool> taken(ranked.size(), false);
+  while (deployed < target) {
+    double u = rng.next_double() * weight_left;
+    std::size_t pick = ranked.size();
+    for (std::size_t j = 0; j < ranked.size(); ++j) {
+      if (taken[j]) continue;
+      if (u < weight[j]) {
+        pick = j;
+        break;
+      }
+      u -= weight[j];
+    }
+    if (pick == ranked.size()) {
+      for (std::size_t j = 0; j < ranked.size(); ++j) {
+        if (!taken[j]) {
+          pick = j;
+          break;
+        }
+      }
+    }
+    taken[pick] = true;
+    weight_left -= weight[pick];
+    fleet[ranked[pick]].deployed = true;
+    ++deployed;
+  }
+  return deployed;
+}
+
+TEST(Provisioner, DeployMatchesPlainScanSampler) {
+  // Same seed, same deployed set: across fleets with tied popularity,
+  // failed nodes and every regime of `wanted`, from none to all and past.
+  const Provisioner prov(ProvisionerConfig{});
+  util::Rng gen(17);
+  for (const std::size_t n : {1, 2, 3, 10, 61, 600, 3000}) {
+    for (int trial = 0; trial < 4; ++trial) {
+      auto fleet = make_fleet(n);
+      for (auto& sn : fleet) {
+        sn.supported_last_window = static_cast<int>(gen.uniform_int(0, 4));  // many ties
+        sn.failed = gen.chance(trial == 0 ? 0.0 : 0.2);
+        sn.deployed = gen.chance(0.5);  // both must overwrite every flag
+      }
+      for (const std::size_t wanted : {std::size_t{0}, std::size_t{1}, n / 3, 2 * n / 3, n - 1,
+                                       n, 2 * n}) {
+        SCOPED_TRACE(testing::Message() << "n=" << n << " trial=" << trial
+                                        << " wanted=" << wanted);
+        const std::uint64_t seed = gen.next_u64();
+        auto expected = fleet;
+        util::Rng ref_rng(seed);
+        const std::size_t ref_count = reference_deploy(expected, wanted, ref_rng);
+        auto actual = fleet;
+        util::Rng rng(seed);
+        EXPECT_EQ(prov.deploy(actual, wanted, rng), ref_count);
+        for (std::size_t i = 0; i < n; ++i) {
+          ASSERT_EQ(actual[i].deployed, expected[i].deployed) << "node " << i;
+        }
+      }
+    }
+  }
 }
 
 TEST(Provisioner, ForecastFollowsSeasonalPattern) {

@@ -8,6 +8,7 @@
 // Cloud::note_liveness / resync_liveness, transitions out need no report.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -125,6 +126,102 @@ TEST_F(SupernodeIndexProperty, UnreportedExitsFromAcceptingStillMatchLinear) {
     for (auto& sn : fleet) sn.failed = true;
     expect_modes_agree(cloud, fleet, random_player(rng), 8);
     EXPECT_TRUE(grid_.empty());
+  }
+}
+
+TEST_F(SupernodeIndexProperty, DrainedFleetsMatchLinear) {
+  // Fleets run nearly dry at peak: a handful of accepting nodes, or none,
+  // among thousands. Queries from the metro centres find the survivors of
+  // a metro-clustered keep set within a few rings; queries from the
+  // corners of the populated box, or against a scattered keep set, read
+  // more cells than there are flagged slots and fall back to the flagged
+  // list. Each keep set is reached twice: by unreported exits of everyone
+  // else (stale flags cleared on sight), then by draining everything and
+  // reporting the keep set's re-entries one by one.
+  constexpr std::size_t kCount = 8;
+  util::Rng rng(57);
+  const auto& metros = testbed_.plane().metros();
+  for (const std::size_t size : {600, 6000, 12000}) {
+    SCOPED_TRACE(size);
+    core::Cloud cloud = make_cloud();
+    auto fleet = testbed_.make_supernode_fleet(size);
+    for (auto& sn : fleet) cloud.register_supernode(sn, rng);
+    std::vector<net::GeoPoint> located;
+    for (const auto& sn : fleet) {
+      located.push_back(cloud.locator().locate(sn.ip).value_or(sn.endpoint.position));
+    }
+    net::GeoPoint lo = located.front();
+    net::GeoPoint hi = located.front();
+    for (const net::GeoPoint& p : located) {
+      lo = {std::min(lo.x_km, p.x_km), std::min(lo.y_km, p.y_km)};
+      hi = {std::max(hi.x_km, p.x_km), std::max(hi.y_km, p.y_km)};
+    }
+    std::vector<net::Endpoint> origins;
+    for (const net::GeoPoint& m : metros) origins.push_back(net::Endpoint{m});
+    for (const double x : {lo.x_km, hi.x_km}) {
+      for (const double y : {lo.y_km, hi.y_km}) origins.push_back(net::Endpoint{{x, y}});
+    }
+    const auto query_all = [&] {
+      for (const net::Endpoint& from : origins) {
+        for (const std::size_t count : {std::size_t{1}, kCount, kCount + 1}) {
+          expect_modes_agree(cloud, fleet, from, count);
+        }
+      }
+      for (int q = 0; q < 8; ++q) expect_modes_agree(cloud, fleet, random_player(rng), kCount);
+    };
+    // Unreported exit, one of the three ways a node stops accepting.
+    const auto exit_service = [&](core::SupernodeState& sn) {
+      switch (rng.uniform_int(0, 2)) {
+        case 0: sn.served = sn.capacity; break;
+        case 1: sn.failed = true; break;
+        default: sn.deployed = false; break;
+      }
+    };
+    const auto restore = [](core::SupernodeState& sn) {
+      sn.served = 0;
+      sn.failed = false;
+      sn.deployed = true;
+    };
+
+    for (const std::size_t keep : {std::size_t{0}, std::size_t{1}, kCount - 1, kCount,
+                                   kCount + 1, std::size_t{50}}) {
+      for (const bool clustered : {true, false}) {
+        SCOPED_TRACE(testing::Message() << "keep=" << keep << " clustered=" << clustered);
+        // The keep set: the nodes nearest a random metro, or a random draw.
+        std::vector<std::size_t> order(size);
+        for (std::size_t i = 0; i < size; ++i) order[i] = i;
+        if (clustered) {
+          const net::GeoPoint centre = metros[static_cast<std::size_t>(
+              rng.uniform_int(0, static_cast<std::int64_t>(metros.size()) - 1))];
+          std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+            return net::distance_km(centre, located[a]) < net::distance_km(centre, located[b]);
+          });
+        } else {
+          std::shuffle(order.begin(), order.end(), rng);
+        }
+        const std::vector<std::size_t> keepers(order.begin(),
+                                               order.begin() + static_cast<std::ptrdiff_t>(keep));
+
+        // Refill in bulk, then everyone outside the keep set leaves
+        // without a report.
+        for (auto& sn : fleet) restore(sn);
+        cloud.resync_liveness(fleet);
+        expect_modes_agree(cloud, fleet, random_player(rng), kCount);
+        for (std::size_t i = keep; i < size; ++i) exit_service(fleet[order[i]]);
+        query_all();
+        if (HasFailure()) return;
+
+        // Drain to empty without reports, then report each re-entry.
+        for (const std::size_t i : keepers) exit_service(fleet[i]);
+        query_all();
+        for (const std::size_t i : keepers) {
+          restore(fleet[i]);
+          cloud.note_liveness(fleet, i);
+        }
+        query_all();
+        if (HasFailure()) return;
+      }
+    }
   }
 }
 
