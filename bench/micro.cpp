@@ -246,7 +246,12 @@ BENCHMARK(BM_ProvisionerDeploy)
 
 // One end-to-end System subcycle (population churn + demand tallies + QoS
 // pass) on the CloudFog arm: the reference engine (memoize off, serial)
-// against the memoized engine at 1 and 4 worker threads.
+// against the memoized engine at 1 and 4 worker threads. `arrivals:0` is
+// the daily-session workload, whose online set follows each player's
+// schedule through the day; `arrivals:1` the arrival-rate workload at 1.2
+// sessions/min, which keeps about 15 % of the players online with
+// sessions spanning subcycles, scattered through the population. The
+// `online` counter reports the mean online sessions.
 void BM_QosSubcycle(benchmark::State& state) {
   const auto players = static_cast<std::size_t>(state.range(0));
   const core::Testbed testbed(core::TestbedConfig::peersim(players), 42);
@@ -254,22 +259,33 @@ void BM_QosSubcycle(benchmark::State& state) {
   cfg.supernode_count = players / 10;  // the profile's capable pool
   cfg.qos.memoize = state.range(1) != 0;
   cfg.qos.threads = static_cast<int>(state.range(2));
+  if (state.range(3) != 0) {
+    cfg.workload = core::WorkloadMode::kArrivalRates;
+    cfg.arrivals = core::ArrivalWorkload{1.2, 1.2};
+  }
   core::System system(testbed, cfg, 42);
   const int per_day = testbed.activity().config().subcycles_per_day;
   system.begin_cycle(0);
   for (int s = 1; s <= per_day; ++s) system.run_subcycle(0, s, true, false);  // warm up
   int sub = 1;
+  double online = 0.0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(system.run_subcycle(0, sub, false, false));
+    const core::SubcycleQos qos = system.run_subcycle(0, sub, false, false);
+    benchmark::DoNotOptimize(qos);
+    online += static_cast<double>(qos.online_sessions);
     sub = sub % per_day + 1;  // subcycles are 1-based on a daily clock
   }
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(players));
+  state.counters["online"] = benchmark::Counter(online, benchmark::Counter::kAvgIterations);
 }
 BENCHMARK(BM_QosSubcycle)
-    ->ArgNames({"players", "memo", "threads"})
-    ->Args({2000, 0, 1})
-    ->Args({2000, 1, 1})
-    ->Args({2000, 1, 4})
+    ->ArgNames({"players", "memo", "threads", "arrivals"})
+    ->Args({2000, 0, 1, 0})
+    ->Args({2000, 1, 1, 0})
+    ->Args({2000, 1, 4, 0})
+    ->Args({2000, 0, 1, 1})
+    ->Args({2000, 1, 1, 1})
+    ->Args({2000, 1, 4, 1})
     ->Unit(benchmark::kMillisecond);
 
 // Observability hot paths: the disabled gate must be near-free; the

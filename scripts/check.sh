@@ -30,8 +30,9 @@
 #      here), a TSan 4-thread fig7 cross-checked against the plain trace,
 #      the chaos smoke re-run under ASan, and a standalone UBSan build
 #      (with the probed float-divide-by-zero / implicit-integer-sign-change
-#      checks) driving fig7, the seeded chaos replay and the full scenario
-#      smoke — all cross-checked byte-for-byte against the plain traces
+#      checks) driving fig7, fig13 (--threads 4), the seeded chaos replay
+#      and the full scenario smoke — all cross-checked byte-for-byte
+#      against the plain traces (fig13: stdout)
 #
 #   scripts/check.sh            everything
 #   scripts/check.sh --quick    stages 1–8 only (no sanitizer builds)
@@ -318,18 +319,24 @@ if [ "$QUICK" -eq 0 ]; then
   cmake --build build-ubsan -j "$JOBS"
   ctest --test-dir build-ubsan --output-on-failure -j "$JOBS"
 
-  echo "== UBSan pipeline leg: fig7 + seeded chaos + scenario smoke =="
+  echo "== UBSan pipeline leg: fig7 + fig13 + seeded chaos + scenario smoke =="
   ./build-ubsan/bench/bench_fig7_latency --quick --threads 4 \
     --trace "$SMOKE_DIR/fig7_ubsan.jsonl" >/dev/null
   cmp -s "$SMOKE_DIR/fig7_trace_a.jsonl" "$SMOKE_DIR/fig7_ubsan.jsonl" || {
     echo "fig7 trace diverged between plain and UBSan builds" >&2; exit 1; }
+  # fig13: the sparse arrival-rate online set through the sharded,
+  # prefetching QoS pass (shards can be shorter than the prefetch distance).
+  ./build-ubsan/bench/bench_fig13_provisioning_bw --quick --threads 4 \
+    >"$SMOKE_DIR/fig13_stdout_ubsan.txt"
+  cmp -s "$SMOKE_DIR/fig13_stdout_a.txt" "$SMOKE_DIR/fig13_stdout_ubsan.txt" || {
+    echo "fig13 stdout diverged between plain and UBSan builds" >&2; exit 1; }
   CLOUDFOG_FAULT_SEED=424242 ./build-ubsan/bench/bench_ext_chaos --quick \
     --trace "$SMOKE_DIR/chaos_ubsan.jsonl" >/dev/null
   cmp -s "$SMOKE_DIR/chaos_trace_a.jsonl" "$SMOKE_DIR/chaos_ubsan.jsonl" || {
     echo "seeded chaos replay diverged between plain and UBSan builds" >&2; exit 1; }
   ./build-ubsan/bench/bench_scenarios --all --smoke --obs-off >/dev/null || {
     echo "scenario suite failed under UBSan" >&2; exit 1; }
-  echo "UBSan fig7/chaos traces byte-identical to plain; scenario smoke clean"
+  echo "UBSan fig7/chaos traces and fig13 stdout identical to plain; scenario smoke clean"
 fi
 
 echo "all checks passed"

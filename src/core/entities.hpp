@@ -49,7 +49,6 @@ struct PlayerState {
   bool online = false;
   ServingRef serving;
   std::size_t state_dc = 0;          ///< datacenter holding this player's game state
-  std::size_t server_index = 0;      ///< game server inside the datacenter
   /// Expected extra response latency from inter-server communication this
   /// subcycle (computed by the system from interaction patterns, §3.4).
   double cross_server_ms = 0.0;

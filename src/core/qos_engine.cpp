@@ -24,6 +24,21 @@ int resolve_threads(int configured) {
   return 1;
 }
 
+// Pass 2 visits the online sessions in player-index order. Off-peak they
+// are a sparse subset of the population, so their records sit at irregular
+// addresses the hardware prefetcher cannot predict. Requesting the record
+// and memo slot this many work items ahead hides most of that latency:
+// 16 measured fastest per evaluate (8 and 32 were slower, DESIGN.md §10.4).
+constexpr std::size_t kPrefetchDistance = 16;
+constexpr std::size_t kCacheLine = 64;
+
+template <class T>
+void prefetch_lines(const T& object) {
+  const char* base = reinterpret_cast<const char*>(&object);
+  for (std::size_t off = 0; off < sizeof(T); off += kCacheLine) __builtin_prefetch(base + off);
+  __builtin_prefetch(base + sizeof(T) - 1);  // an unaligned object spills into one more line
+}
+
 }  // namespace
 
 QosEngine::QosEngine(QosEngineConfig cfg, const net::LatencyModel& latency,
@@ -134,7 +149,8 @@ double QosEngine::unloaded_response_latency_ms(const PlayerState& player,
 }
 
 void QosEngine::evaluate_player(PlayerState& player, PlayerMemo& memo, Acc& acc,
-                                const std::vector<SupernodeState>& fleet, const Cloud& cloud,
+                                double& bitrate, const std::vector<SupernodeState>& fleet,
+                                const Cloud& cloud,
                                 const std::vector<CdnServerState>& cdn) const {
   EntityLoad load;
   switch (player.serving.kind) {
@@ -157,7 +173,6 @@ void QosEngine::evaluate_player(PlayerState& player, PlayerMemo& memo, Acc& acc,
       break;
   }
 
-  const double bitrate = player.session->current_bitrate_kbps();
   const net::Endpoint& e = serving_endpoint(player.serving, fleet, cloud, cdn);
 
   // Tier-1 memo: the pure geodesic terms. one_way_ms is symmetric bit for
@@ -289,6 +304,21 @@ void QosEngine::evaluate_player(PlayerState& player, PlayerMemo& memo, Acc& acc,
   acc.continuity_sum += sample.continuity;
   acc.bitrate_sum += sample.bitrate_kbps;
   ++acc.samples;
+  bitrate = player.session->current_bitrate_kbps();
+}
+
+void QosEngine::evaluate_range(std::size_t lo, std::size_t hi, std::vector<PlayerState>& players,
+                               const std::vector<SupernodeState>& fleet, const Cloud& cloud,
+                               const std::vector<CdnServerState>& cdn) const {
+  for (std::size_t k = lo; k < hi; ++k) {
+    if (k + kPrefetchDistance < hi) {
+      const std::uint32_t ahead = work_[k + kPrefetchDistance];
+      prefetch_lines(players[ahead]);
+      prefetch_lines(memo_[ahead]);
+    }
+    const std::uint32_t i = work_[k];
+    evaluate_player(players[i], memo_[i], acc_[k], wbitrate_[k], fleet, cloud, cdn);
+  }
 }
 
 SubcycleQos QosEngine::run_subcycle(std::vector<PlayerState>& players,
@@ -297,8 +327,6 @@ SubcycleQos QosEngine::run_subcycle(std::vector<PlayerState>& players,
   CLOUDFOG_TIMED_SCOPE("qos.subcycle");
   SubcycleQos out;
 
-  // Per-player accumulators across substeps (scratch reused across calls).
-  acc_.assign(players.size(), Acc{});
   if (memo_players_ != players.data() || memo_.size() != players.size()) {
     memo_.assign(players.size(), PlayerMemo{});
     memo_players_ = players.data();
@@ -306,13 +334,24 @@ SubcycleQos QosEngine::run_subcycle(std::vector<PlayerState>& players,
 
   // The work list — online sessions attached to a serving entity — is
   // invariant across substeps: nothing in the subcycle changes liveness
-  // or attachment. Build it once; both passes iterate it in index order.
+  // or attachment. Build it once, in index order, and gather what the
+  // per-substep tallies read into dense arrays beside it; only the
+  // bitrates change, and pass 2 writes each one back.
   work_.clear();
+  wref_.clear();
+  wcross_.clear();
+  wbitrate_.clear();
   for (std::size_t i = 0; i < players.size(); ++i) {
     const PlayerState& player = players[i];
-    if (player.online && player.session.has_value() && player.serving.attached())
+    if (player.online && player.session.has_value() && player.serving.attached()) {
       work_.push_back(static_cast<std::uint32_t>(i));
+      wref_.push_back(player.serving);
+      wcross_.push_back(player.cross_server_ms);
+      wbitrate_.push_back(player.session->current_bitrate_kbps());
+    }
   }
+  // Per-session accumulators across substeps (scratch reused across calls).
+  acc_.assign(work_.size(), Acc{});
 
   // Update-feed egress is likewise constant within the subcycle
   // (served/deployed only change between subcycles): one O(fleet) scan
@@ -341,21 +380,21 @@ SubcycleQos QosEngine::run_subcycle(std::vector<PlayerState>& players,
     }
     for (auto& edge : cdn) edge.demanded_kbps = 0.0;
 
-    for (const std::uint32_t i : work_) {
-      const PlayerState& player = players[i];
-      const double bitrate = player.session->current_bitrate_kbps();
-      switch (player.serving.kind) {
+    for (std::size_t k = 0; k < work_.size(); ++k) {
+      const ServingRef& ref = wref_[k];
+      const double bitrate = wbitrate_[k];
+      switch (ref.kind) {
         case ServingKind::kSupernode:
-          fleet[player.serving.index].demanded_kbps += bitrate;
+          fleet[ref.index].demanded_kbps += bitrate;
           break;
         case ServingKind::kCloud: {
-          auto& dc = cloud.datacenter(player.serving.index);
+          auto& dc = cloud.datacenter(ref.index);
           dc.demanded_kbps += bitrate;
           ++dc.direct_players;
           break;
         }
         case ServingKind::kCdn:
-          cdn[player.serving.index].demanded_kbps += bitrate;
+          cdn[ref.index].demanded_kbps += bitrate;
           break;
         case ServingKind::kNone:
           break;
@@ -373,10 +412,9 @@ SubcycleQos QosEngine::run_subcycle(std::vector<PlayerState>& players,
     // The inter-server latency term depends only on pass-2-invariant
     // state, so it accumulates serially regardless of the thread count —
     // identical addition order to an all-serial run.
-    for (const std::uint32_t i : work_) {
-      const PlayerState& player = players[i];
-      if (player.serving.kind != ServingKind::kCdn) {
-        server_latency_sum += player.cross_server_ms;
+    for (std::size_t k = 0; k < work_.size(); ++k) {
+      if (wref_[k].kind != ServingKind::kCdn) {
+        server_latency_sum += wcross_[k];
         ++server_latency_samples;
       }
     }
@@ -387,8 +425,7 @@ SubcycleQos QosEngine::run_subcycle(std::vector<PlayerState>& players,
     // replayed in shard order below — byte-identical to the serial loop.
     CLOUDFOG_TIMED_SCOPE("qos.rate_adapt");
     if (!parallel) {
-      for (const std::uint32_t i : work_)
-        evaluate_player(players[i], memo_[i], acc_[i], fleet, cloud, cdn);
+      evaluate_range(0, work_.size(), players, fleet, cloud, cdn);
     } else {
       const std::size_t shards = static_cast<std::size_t>(threads_);
       if (captures_.size() < shards) captures_.resize(shards);
@@ -400,26 +437,22 @@ SubcycleQos QosEngine::run_subcycle(std::vector<PlayerState>& players,
         const CaptureGuard guard(&captures_[static_cast<std::size_t>(s)]);
         const std::size_t lo = work_.size() * static_cast<std::size_t>(s) / shards;
         const std::size_t hi = work_.size() * (static_cast<std::size_t>(s) + 1) / shards;
-        for (std::size_t k = lo; k < hi; ++k) {
-          const std::uint32_t i = work_[k];
-          evaluate_player(players[i], memo_[i], acc_[i], fleet, cloud, cdn);
-        }
+        evaluate_range(lo, hi, players, fleet, cloud, cdn);
       });
       auto& rec = obs::Recorder::global();
       for (std::size_t s = 0; s < shards; ++s) rec.replay(captures_[s]);
     }
   }
 
-  // Aggregate across players.
+  // Aggregate across sessions, in work-list (= player index) order.
   double latency_sum = 0.0;
   double continuity_sum = 0.0;
   double mos_sum = 0.0;
   std::size_t satisfied = 0;
-  for (std::size_t i = 0; i < players.size(); ++i) {
-    const PlayerState& player = players[i];
-    if (!player.online || acc_[i].samples == 0) continue;
+  for (std::size_t k = 0; k < work_.size(); ++k) {
+    const Acc& acc = acc_[k];
     ++out.online_sessions;
-    switch (player.serving.kind) {
+    switch (wref_[k].kind) {
       case ServingKind::kSupernode:
         ++out.fog_served;
         break;
@@ -432,9 +465,9 @@ SubcycleQos QosEngine::run_subcycle(std::vector<PlayerState>& players,
       case ServingKind::kNone:
         break;
     }
-    const double avg_lat = acc_[i].latency_sum / acc_[i].samples;
-    const double avg_cont = acc_[i].continuity_sum / acc_[i].samples;
-    const double avg_bitrate = acc_[i].bitrate_sum / acc_[i].samples;
+    const double avg_lat = acc.latency_sum / acc.samples;
+    const double avg_cont = acc.continuity_sum / acc.samples;
+    const double avg_bitrate = acc.bitrate_sum / acc.samples;
     latency_sum += avg_lat;
     continuity_sum += avg_cont;
     mos_sum += qoe_.mos(avg_lat, std::min(1.0, avg_cont), avg_bitrate);
@@ -442,8 +475,9 @@ SubcycleQos QosEngine::run_subcycle(std::vector<PlayerState>& players,
 
     // Feed the per-cycle continuity used for end-of-cycle supernode
     // ratings (§4.1): the player rates what it actually experienced.
-    players[i].cycle_continuity_sum += avg_cont;
-    players[i].cycle_continuity_samples += 1.0;
+    PlayerState& player = players[work_[k]];
+    player.cycle_continuity_sum += avg_cont;
+    player.cycle_continuity_samples += 1.0;
   }
 
   if (out.online_sessions > 0) {

@@ -170,11 +170,21 @@ class QosEngine {
   };
 
   /// One player's substep: path computation (through the memo tiers) and
-  /// session update into `acc`. Touches only `player`, `memo`, `acc` and
-  /// shared *immutable* state — safe to run on parallel shards.
+  /// session update into `acc`. `bitrate` carries the session's current
+  /// bitrate in and its adapted bitrate out. Touches only `player`, `memo`,
+  /// `acc`, `bitrate` and shared *immutable* state — safe to run on
+  /// parallel shards.
   CF_PARALLEL_REGION void evaluate_player(PlayerState& player, PlayerMemo& memo, Acc& acc,
-                       const std::vector<SupernodeState>& fleet, const Cloud& cloud,
-                       const std::vector<CdnServerState>& cdn) const;
+                       double& bitrate, const std::vector<SupernodeState>& fleet,
+                       const Cloud& cloud, const std::vector<CdnServerState>& cdn) const;
+
+  /// Pass 2 over work positions [lo, hi): evaluates each session while
+  /// prefetching the records a fixed distance ahead, never past `hi`.
+  CF_PARALLEL_REGION void evaluate_range(std::size_t lo, std::size_t hi,
+                                         std::vector<PlayerState>& players,
+                                         const std::vector<SupernodeState>& fleet,
+                                         const Cloud& cloud,
+                                         const std::vector<CdnServerState>& cdn) const;
 
   /// Latency from propagation and processing only (no transfer/queueing).
   double base_latency_ms(const PlayerState& player, const ServingRef& ref,
@@ -198,8 +208,16 @@ class QosEngine {
   // parallel pass is in flight, shards write only their own slots of the
   // CF_SHARD_LOCAL containers (indexed through the work list) and read
   // the CF_SHARD_SHARED_READONLY work list, which pass 2 never mutates.
-  CF_SHARD_LOCAL mutable std::vector<Acc> acc_;
+  //
+  // The work arrays are dense, indexed by work position k: work_[k] is the
+  // player index, and wref_/wbitrate_/wcross_/acc_ hold that session's
+  // serving ref, current bitrate, inter-server term and accumulators, so
+  // the per-substep tallies never touch the sparse player records.
   CF_SHARD_SHARED_READONLY mutable std::vector<std::uint32_t> work_;
+  CF_SHARD_SHARED_READONLY mutable std::vector<ServingRef> wref_;
+  CF_SHARD_SHARED_READONLY mutable std::vector<double> wcross_;
+  CF_SHARD_LOCAL mutable std::vector<double> wbitrate_;
+  CF_SHARD_LOCAL mutable std::vector<Acc> acc_;
   CF_SHARD_LOCAL mutable std::vector<PlayerMemo> memo_;
   mutable const PlayerState* memo_players_ = nullptr;
   CF_SHARD_LOCAL mutable std::vector<obs::ObsCapture> captures_;

@@ -101,6 +101,7 @@ System::System(const Testbed& testbed, SystemConfig cfg, std::uint64_t seed)
     state.nearest_dc_cache = static_cast<std::int64_t>(state.state_dc);
     players_.push_back(std::move(state));
   }
+  online_.assign(players_.size(), 0);
 
   // Architecture-specific entities.
   if (cfg_.architecture == Architecture::kCloudFog) {
@@ -413,6 +414,7 @@ void System::attach_player(PlayerState& p, int day) {
 
   p.session.emplace(testbed_.catalog(), p.game, cfg_.adapter, rng_.fork("adapter"));
   p.online = true;
+  online_[static_cast<std::size_t>(&p - players_.data())] = 1;
 }
 
 void System::detach_player(PlayerState& p) {
@@ -426,7 +428,9 @@ void System::detach_player(PlayerState& p) {
   }
   p.session.reset();
   p.online = false;
-  fallback_.exit(static_cast<std::size_t>(&p - players_.data()));
+  const auto idx = static_cast<std::size_t>(&p - players_.data());
+  online_[idx] = 0;
+  fallback_.exit(idx);
 
   auto& rec = obs::Recorder::global();
   if (rec.enabled()) {
@@ -454,8 +458,8 @@ void System::process_population(int day, int subcycle, bool peak) {
   // Arrival-rate workload (§4.3.4): Poisson arrivals over the hour at the
   // peak or off-peak rate; departures when the sampled stay runs out.
   for (std::size_t i = 0; i < players_.size(); ++i) {
+    if (!online_[i]) continue;
     PlayerState& p = players_[i];
-    if (!p.online) continue;
     if (--remaining_subcycles_[i] <= 0) {
       detach_player(p);
       continue;
@@ -479,8 +483,8 @@ void System::process_population(int day, int subcycle, bool peak) {
   for (std::size_t tried = 0; tried < players_.size() && arrivals > 0; ++tried) {
     const std::size_t idx = scan;
     scan = (scan + 1) % players_.size();
+    if (online_[idx]) continue;
     PlayerState& p = players_[idx];
-    if (p.online) continue;
     util::Rng roll_rng = rng_.fork("arrival-roll");
     p.game = game_mix_.empty()
                  ? testbed_.activity().choose_game(testbed_.catalog(), {}, roll_rng)
@@ -570,12 +574,11 @@ void System::update_cross_server_latency() {
   const double stranger_cross = 1.0 - 1.0 / static_cast<double>(total_servers_);
   const double w_f = cfg_.friend_interaction_weight;
   for (std::size_t i = 0; i < players_.size(); ++i) {
-    PlayerState& p = players_[i];
-    if (!p.online) continue;
+    if (!online_[i]) continue;
     int online_friends = 0;
     int cross_friends = 0;
     for (social::PlayerId f : testbed_.social_graph().friends(i)) {
-      if (!players_[f].online) continue;
+      if (!online_[f]) continue;
       ++online_friends;
       if (partition_[f] != partition_[i]) ++cross_friends;
     }
@@ -583,8 +586,8 @@ void System::update_cross_server_latency() {
         online_friends == 0
             ? stranger_cross
             : static_cast<double>(cross_friends) / static_cast<double>(online_friends);
-    p.cross_server_ms = cfg_.cross_server_penalty_ms *
-                        (w_f * friend_cross + (1.0 - w_f) * stranger_cross);
+    players_[i].cross_server_ms = cfg_.cross_server_penalty_ms *
+                                  (w_f * friend_cross + (1.0 - w_f) * stranger_cross);
   }
 }
 
@@ -592,9 +595,7 @@ void System::maybe_run_provisioning(int day, int subcycle) {
   if (!cfg_.strategies.provisioning || cfg_.architecture != Architecture::kCloudFog) return;
 
   std::size_t online = 0;
-  for (const auto& p : players_) {
-    if (p.online) ++online;
-  }
+  for (const std::uint8_t flag : online_) online += flag;
   window_online_sum_ += static_cast<double>(online);
   ++window_subcycles_;
 
@@ -638,8 +639,10 @@ void System::maybe_run_provisioning(int day, int subcycle) {
 }
 
 void System::migrate_players_off_undeployed(int day) {
-  for (auto& p : players_) {
-    if (!p.online || p.serving.kind != ServingKind::kSupernode) continue;
+  for (std::size_t i = 0; i < players_.size(); ++i) {
+    if (!online_[i]) continue;
+    PlayerState& p = players_[i];
+    if (p.serving.kind != ServingKind::kSupernode) continue;
     SupernodeState& sn = fleet_[p.serving.index];
     if (sn.deployed) continue;
     // The provider withdrew this supernode; its players re-select without
@@ -712,16 +715,25 @@ void System::end_cycle(int day) {
   }
 
   // Co-play bookkeeping for implicit friendships: friend pairs online on
-  // the same day playing the same game count as playing together.
-  for (const auto& [a, b] : testbed_.social_graph().edges()) {
-    const PlayerState& pa = players_[a];
-    const PlayerState& pb = players_[b];
-    if (cfg_.workload != WorkloadMode::kDailySessions) continue;
-    const bool played_together =
-        pa.game == pb.game &&
-        pa.today.start_subcycle < pb.today.start_subcycle + static_cast<int>(std::ceil(pb.today.hours)) &&
-        pb.today.start_subcycle < pa.today.start_subcycle + static_cast<int>(std::ceil(pa.today.hours));
-    if (played_together) coplay_.record_coplay(a, b, day);
+  // the same day playing the same game count as playing together. Each
+  // edge is visited once as (a, b) with a < b, in SocialGraph::edges()
+  // order; arrival-rate sessions have no daily schedule to compare.
+  if (cfg_.workload == WorkloadMode::kDailySessions) {
+    const social::SocialGraph& graph = testbed_.social_graph();
+    for (social::PlayerId a = 0; a < graph.player_count(); ++a) {
+      const PlayerState& pa = players_[a];
+      for (const social::PlayerId b : graph.friends(a)) {
+        if (b <= a) continue;
+        const PlayerState& pb = players_[b];
+        const bool played_together =
+            pa.game == pb.game &&
+            pa.today.start_subcycle <
+                pb.today.start_subcycle + static_cast<int>(std::ceil(pb.today.hours)) &&
+            pb.today.start_subcycle <
+                pa.today.start_subcycle + static_cast<int>(std::ceil(pa.today.hours));
+        if (played_together) coplay_.record_coplay(a, b, day);
+      }
+    }
   }
   coplay_.expire(day);
 }

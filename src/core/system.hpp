@@ -133,6 +133,8 @@ class System {
   const std::vector<SupernodeState>& fleet() const { return fleet_; }
   const std::vector<CdnServerState>& cdn_servers() const { return cdn_; }
   const Cloud& cloud() const { return cloud_; }
+  /// §3.4 server placement: player index -> global game-server index.
+  const social::Partition& partition() const { return partition_; }
   MetricsCollector& collector() { return collector_; }
   const RunMetrics& metrics() const { return collector_.metrics(); }
 
@@ -220,6 +222,11 @@ class System {
   QosEngine qos_;
   Provisioner provisioner_;
   std::vector<PlayerState> players_;
+  /// Dense mirror of PlayerState::online, one byte per player. Written
+  /// only by attach_player and detach_player (the only writers of the
+  /// field itself), so the per-subcycle passes that only ask "is this
+  /// player online?" scan 1 B per player instead of a whole record.
+  std::vector<std::uint8_t> online_;
   std::vector<SupernodeState> fleet_;
   std::vector<CdnServerState> cdn_;
   social::FriendshipTracker coplay_;

@@ -5,6 +5,7 @@
 // (EXPECT_EQ on doubles, byte-equal traces): "close" is a bug.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -137,6 +138,66 @@ TEST_F(QosParallelEquality, OptimizedStackMatchesReferenceStack) {
   cfg.qos.threads = 4;
   const RunResult optimized = run_system(testbed_, cfg, 2);
   expect_identical(reference, optimized);
+}
+
+// Arrival-rate workload with provisioning: the online set is a sparse,
+// shifting subset of the population, and every window's redeploy migrates
+// the sessions on withdrawn supernodes. The dense work arrays and the
+// prefetching pass must reproduce the reference engine exactly here too.
+core::SystemConfig sparse_arrivals_config() {
+  auto cfg = cloudfog_config();
+  cfg.workload = core::WorkloadMode::kArrivalRates;
+  cfg.strategies.provisioning = true;
+  cfg.arrivals = core::ArrivalWorkload{0.6, 2.0};
+  cfg.fixed_deployment = 40;
+  return cfg;
+}
+
+std::size_t max_online(const RunResult& run) {
+  std::size_t most = 0;
+  for (const auto& q : run.qos) most = std::max(most, q.online_sessions);
+  return most;
+}
+
+double mean_online(const RunResult& run) {
+  std::size_t total = 0;
+  for (const auto& q : run.qos) total += q.online_sessions;
+  return static_cast<double>(total) / static_cast<double>(run.qos.size());
+}
+
+TEST_F(QosParallelEquality, SparseArrivalsMatchAcrossThreadsAndMemo) {
+  auto cfg = sparse_arrivals_config();
+  cfg.qos.threads = 1;
+  cfg.qos.memoize = false;
+  const RunResult reference = run_system(testbed_, cfg, 3);
+  cfg.qos.memoize = true;
+  const RunResult serial = run_system(testbed_, cfg, 3);
+  cfg.qos.threads = 3;
+  const RunResult parallel = run_system(testbed_, cfg, 3);
+
+  // The regime under test: sessions online, on average under a fifth of
+  // the population, and provisioning moved some of them.
+  ASSERT_GT(max_online(serial), 0u);
+  EXPECT_LT(mean_online(serial), 0.2 * static_cast<double>(testbed_.players().size()));
+  EXPECT_NE(serial.trace.find("\"kind\":\"migration\""), std::string::npos);
+  expect_identical(reference, serial);
+  expect_identical(serial, parallel);
+}
+
+// So few sessions that every shard holds fewer work items than the
+// prefetch distance (16): the look-ahead must stay inside each shard's
+// range and the results must not change.
+TEST_F(QosParallelEquality, ShardsShorterThanPrefetchDistanceMatchSerial) {
+  auto cfg = sparse_arrivals_config();
+  cfg.arrivals = core::ArrivalWorkload{0.05, 0.2};
+  cfg.qos.threads = 1;
+  const RunResult serial = run_system(testbed_, cfg, 2);
+  cfg.qos.threads = 4;
+  const RunResult parallel = run_system(testbed_, cfg, 2);
+
+  ASSERT_GT(max_online(serial), 0u);
+  EXPECT_LT(max_online(serial), 4u * 16u);
+  expect_identical(serial, parallel);
 }
 
 }  // namespace

@@ -4,6 +4,8 @@
 // if an experiment config breaks accounting, it fails here first.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
 #include <ostream>
 #include <string>
 
@@ -129,6 +131,79 @@ TEST_P(SystemInvariants, HoldAtEverySubcycle) {
     sys.end_cycle(day);
     check_invariants(sys);
   }
+}
+
+// update_cross_server_latency reads System's dense online flags, not the
+// player records. Recompute its §3.4 term for every online player from
+// players() and the server partition: any transition the flags missed
+// shows up as a changed friend count, so the comparison is exact.
+double expected_cross_server_ms(const System& sys, std::size_t i) {
+  const auto& players = sys.players();
+  const auto& partition = sys.partition();
+  const int total_servers = static_cast<int>(sys.cloud().datacenter_count()) *
+                            property_testbed().config().servers_per_datacenter;
+  const double stranger_cross = 1.0 - 1.0 / static_cast<double>(total_servers);
+  const double w_f = sys.config().friend_interaction_weight;
+  int online_friends = 0;
+  int cross_friends = 0;
+  for (const social::PlayerId f : property_testbed().social_graph().friends(i)) {
+    if (!players[f].online) continue;
+    ++online_friends;
+    if (partition[f] != partition[i]) ++cross_friends;
+  }
+  const double friend_cross =
+      online_friends == 0
+          ? stranger_cross
+          : static_cast<double>(cross_friends) / static_cast<double>(online_friends);
+  return sys.config().cross_server_penalty_ms *
+         (w_f * friend_cross + (1.0 - w_f) * stranger_cross);
+}
+
+void check_cross_server_terms(const System& sys) {
+  for (std::size_t i = 0; i < sys.players().size(); ++i) {
+    if (!sys.players()[i].online) continue;
+    ASSERT_EQ(sys.players()[i].cross_server_ms, expected_cross_server_ms(sys, i))
+        << "player " << i;
+  }
+}
+
+TEST(OnlineFlags, CrossServerTermsTrackEveryOnlineTransition) {
+  SystemConfig cfg;
+  cfg.architecture = Architecture::kCloudFog;
+  cfg.strategies = StrategyToggles::all();
+  cfg.workload = WorkloadMode::kArrivalRates;
+  cfg.arrivals = ArrivalWorkload{10.0, 40.0};
+  cfg.fixed_deployment = 20;
+  cfg.supernode_count =
+      std::min<std::size_t>(60, property_testbed().supernode_capable().size());
+  // Crashes displace sessions mid-day; each lasts a few hours.
+  cfg.faults.enabled = true;
+  for (const double hour : {6.0, 20.0, 31.0, 45.0}) {
+    fault::FaultSpec crash;
+    crash.kind = fault::FaultKind::kSupernodeCrash;
+    crash.at_s = hour * 3600.0 + 1.0;
+    crash.duration_s = 4.0 * 3600.0;
+    cfg.faults.extra_specs.push_back(crash);
+  }
+  System sys(property_testbed(), cfg, 4321);
+
+  std::size_t forced = 0;
+  std::size_t drained = 0;
+  for (int day = 1; day <= 3; ++day) {
+    sys.begin_cycle(day);
+    for (int sub = 1; sub <= 24; ++sub) {
+      if (day == 2 && sub == 6) sys.set_arrival_rate_override(0.0);  // arrivals pause
+      if (day == 2 && sub == 12) sys.set_arrival_rate_override(std::nullopt);
+      if (sub == 16) forced += sys.force_departures(0.3);
+      sys.run_subcycle(day, sub, false, sub >= 20);
+      check_cross_server_terms(sys);
+    }
+    if (day == 2) drained = sys.drain_sessions();
+    sys.end_cycle(day);
+  }
+  EXPECT_GT(forced, 0u);
+  EXPECT_GT(drained, 0u);
+  EXPECT_GT(sys.metrics().sessions_interrupted, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(
