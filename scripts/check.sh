@@ -10,7 +10,8 @@
 #      tools/determinism/canonicalize_report.py). Both workloads also run
 #      with --threads 4 and must match the serial traces byte-for-byte.
 #      fig13 (Eq. 16 with a partial target) runs twice and with
-#      --threads 4; stdout and canonical reports must match.
+#      --threads 4; stdout and canonical reports must match. fig12 (the
+#      §3.4 social partition) runs twice; stdout must match byte-for-byte.
 #   5. scenario gate: the bundled data/scenarios suite runs in smoke mode
 #      with every acceptance envelope enforced; the reputation ablation
 #      (--no-reputation --expect-fail) must make at least one adversary
@@ -117,6 +118,15 @@ for run in b mt; do
     exit 1; }
 done
 echo "fig13: stdout and canonical report identical (including --threads 4)"
+
+# fig12 compares runs with and without the §3.4 social partition, which no
+# other gated run isolates.
+echo "== determinism gate: double-run fig12 (social server assignment) =="
+./build/bench/bench_fig12_server_assignment --quick >"$SMOKE_DIR/fig12_stdout_a.txt"
+./build/bench/bench_fig12_server_assignment --quick >"$SMOKE_DIR/fig12_stdout_b.txt"
+cmp -s "$SMOKE_DIR/fig12_stdout_a.txt" "$SMOKE_DIR/fig12_stdout_b.txt" || {
+  echo "determinism gate FAILED: fig12 stdout (figure table) differs" >&2; exit 1; }
+echo "fig12: stdout identical"
 
 echo "== determinism gate: double-run seeded chaos =="
 CLOUDFOG_FAULT_SEED=424242 ./build/bench/bench_ext_chaos --quick \

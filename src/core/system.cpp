@@ -82,7 +82,6 @@ System::System(const Testbed& testbed, SystemConfig cfg, std::uint64_t seed)
         return qc;
       }(), testbed.latency(), testbed.catalog()),
       provisioner_(cfg.provisioning),
-      coplay_(testbed.players().size()),
       partition_(testbed.players().size(), 0) {
   cfg_.adapter.enabled = cfg_.strategies.rate_adaptation;
   cloud_.set_candidate_mode(cfg_.discovery);
@@ -160,7 +159,7 @@ System::System(const Testbed& testbed, SystemConfig cfg, std::uint64_t seed)
   for (auto& server : partition_) {
     server = static_cast<social::CommunityId>(part_rng.uniform_int(0, total_servers_ - 1));
   }
-  if (cfg_.strategies.social_assignment) reassign_servers(/*day=*/0, /*record_latency=*/false);
+  if (cfg_.strategies.social_assignment) reassign_servers(/*timed=*/false);
 
   remaining_subcycles_.assign(players_.size(), 0);
 
@@ -351,7 +350,7 @@ void System::begin_cycle(int day) {
   // Weekly social reassignment (§3.4 "runs periodically (e.g., weekly)").
   if (cfg_.strategies.social_assignment && day > 1 &&
       (day - 1) % cfg_.reassign_period_days == 0) {
-    reassign_servers(day, /*record_latency=*/true);
+    reassign_servers(/*timed=*/true);
   }
 }
 
@@ -713,29 +712,6 @@ void System::end_cycle(int day) {
     // Daily-session players leave at day end (each cycle is one day).
     if (cfg_.workload == WorkloadMode::kDailySessions && p.online) detach_player(p);
   }
-
-  // Co-play bookkeeping for implicit friendships: friend pairs online on
-  // the same day playing the same game count as playing together. Each
-  // edge is visited once as (a, b) with a < b, in SocialGraph::edges()
-  // order; arrival-rate sessions have no daily schedule to compare.
-  if (cfg_.workload == WorkloadMode::kDailySessions) {
-    const social::SocialGraph& graph = testbed_.social_graph();
-    for (social::PlayerId a = 0; a < graph.player_count(); ++a) {
-      const PlayerState& pa = players_[a];
-      for (const social::PlayerId b : graph.friends(a)) {
-        if (b <= a) continue;
-        const PlayerState& pb = players_[b];
-        const bool played_together =
-            pa.game == pb.game &&
-            pa.today.start_subcycle <
-                pb.today.start_subcycle + static_cast<int>(std::ceil(pb.today.hours)) &&
-            pb.today.start_subcycle <
-                pa.today.start_subcycle + static_cast<int>(std::ceil(pa.today.hours));
-        if (played_together) coplay_.record_coplay(a, b, day);
-      }
-    }
-  }
-  coplay_.expire(day);
 }
 
 const RunMetrics& System::run(const sim::CycleConfig& cycles) {
@@ -817,28 +793,22 @@ void System::recover_supernodes() {
 }
 
 double System::measure_server_assignment_seconds() {
-  const auto merged = coplay_.merged_with(testbed_.social_graph());
+  return reassign_servers(/*timed=*/true);
+}
+
+double System::reassign_servers(bool timed) {
+  // Built per pass and dropped after it: a copy held for the whole run
+  // would cost as much memory as the base graph.
+  const social::SocialGraph graph = testbed_.social_graph().id_ordered();
   const social::CommunityPartitioner partitioner(partitioner_config(cfg_, total_servers_));
-  util::Rng part_rng = rng_.fork("measure-partition");
+  util::Rng part_rng = rng_.fork(timed ? "measure-partition" : "partition");
   const auto start = std::chrono::steady_clock::now();
-  auto result = partitioner.partition(merged, part_rng);
+  auto result = partitioner.partition(graph, part_rng);
   const auto stop = std::chrono::steady_clock::now();
   partition_ = std::move(result.partition);
   const double seconds = std::chrono::duration<double>(stop - start).count();
-  collector_.record_server_assignment(seconds);
+  if (timed) collector_.record_server_assignment(seconds);
   return seconds;
-}
-
-void System::reassign_servers(int day, bool record_latency) {
-  (void)day;
-  if (record_latency) {
-    measure_server_assignment_seconds();
-    return;
-  }
-  const auto merged = coplay_.merged_with(testbed_.social_graph());
-  const social::CommunityPartitioner partitioner(partitioner_config(cfg_, total_servers_));
-  util::Rng part_rng = rng_.fork("partition");
-  partition_ = partitioner.partition(merged, part_rng).partition;
 }
 
 std::vector<double> System::supernode_join_latencies() const {

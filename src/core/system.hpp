@@ -27,7 +27,6 @@
 #include "sim/cycle_driver.hpp"
 #include "sim/simulator.hpp"
 #include "social/community_partitioner.hpp"
-#include "social/friendship_tracker.hpp"
 #include "video/rate_adapter.hpp"
 
 namespace cloudfog::core {
@@ -206,7 +205,11 @@ class System {
   void detach_player(PlayerState& p);
   void update_cross_server_latency();
   void maybe_run_provisioning(int day, int subcycle);
-  void reassign_servers(int day, bool record_latency);
+  /// §3.4 social server assignment over the explicit friend graph;
+  /// returns the partitioner's wall-clock seconds. Only a timed pass
+  /// (weekly reassignment, Fig. 9 measurement) records that latency; each
+  /// kind draws its own rng fork.
+  double reassign_servers(bool timed);
   void migrate_players_off_undeployed(int day);
   void setup_fault_injection(std::uint64_t seed);
   /// FaultInjector crash hooks: fail the victim (resolving kAnyTarget) and
@@ -229,7 +232,6 @@ class System {
   std::vector<std::uint8_t> online_;
   std::vector<SupernodeState> fleet_;
   std::vector<CdnServerState> cdn_;
-  social::FriendshipTracker coplay_;
   social::Partition partition_;  ///< player -> global server index
   int total_servers_ = 1;
   std::vector<char> throttle80_;  ///< designated 80 %-throttlers

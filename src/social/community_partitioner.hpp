@@ -1,7 +1,9 @@
 // Social-network-based server assignment (paper §3.4, steps 1–6).
 //
-// Given z servers, partition the (explicit ∪ implicit) friend graph into z
-// communities so that friends who play together land on the same server:
+// Given z servers, partition the explicit friend graph into z communities
+// so that friends who play together land on the same server (the paper
+// also adds implicit friends, frequent non-friend co-players; this
+// simulator does not model them):
 //   1. start with everyone unassigned (community g1);
 //   2. pick a random player, pull it and its friends into a new community;
 //   3. repeatedly pick a random member of the new community and pull in

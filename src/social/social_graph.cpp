@@ -42,6 +42,20 @@ std::vector<std::pair<PlayerId, PlayerId>> SocialGraph::edges() const {
   return out;
 }
 
+SocialGraph SocialGraph::id_ordered() const {
+  SocialGraph out(adjacency_.size());
+  for (PlayerId p = 0; p < adjacency_.size(); ++p) out.adjacency_[p].reserve(adjacency_[p].size());
+  for (PlayerId a = 0; a < adjacency_.size(); ++a) {
+    for (PlayerId b : adjacency_[a]) {
+      if (a > b) continue;
+      out.adjacency_[a].push_back(b);
+      out.adjacency_[b].push_back(a);
+    }
+  }
+  out.edge_count_ = edge_count_;
+  return out;
+}
+
 SocialGraph generate_power_law_graph(std::size_t n, const SocialGraphConfig& cfg,
                                      util::Rng& rng) {
   CLOUDFOG_REQUIRE(cfg.max_degree >= cfg.min_degree, "degree bounds inverted");

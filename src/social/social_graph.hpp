@@ -38,6 +38,13 @@ class SocialGraph {
   /// All edges as (a, b) with a < b.
   std::vector<std::pair<PlayerId, PlayerId>> edges() const;
 
+  /// The same edges with every list rebuilt by one ascending walk over the
+  /// (a, b), a < b pairs: each player's lower neighbours in ascending
+  /// order, then its higher neighbours in this graph's order. The §3.4
+  /// partitioner runs on this order (its greedy seed and modularity sums
+  /// walk friends() in sequence).
+  SocialGraph id_ordered() const;
+
  private:
   std::vector<std::vector<PlayerId>> adjacency_;
   std::size_t edge_count_ = 0;

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "core/baselines.hpp"
 #include "util/require.hpp"
 
@@ -206,6 +208,32 @@ TEST(System, ServerAssignmentMeasurable) {
   const double seconds = sys.measure_server_assignment_seconds();
   EXPECT_GT(seconds, 0.0);
   EXPECT_EQ(sys.metrics().server_assignment_seconds.count(), 1u);
+}
+
+// FNV-1a over the player -> server map, so a test can pin a partition.
+std::uint64_t partition_hash(const social::Partition& partition) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const social::CommunityId server : partition) {
+    h ^= static_cast<std::uint32_t>(server);
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+// Pins the §3.4 social partition: at construction, after a week of daily
+// sessions ending in the weekly reassignment on day 8, and after a timed
+// re-partition. A change to the partitioner's input graph (including its
+// adjacency order) or to the rng forks that feed it moves these hashes.
+TEST(System, SocialPartitionIsPinned) {
+  System sys = make_cloudfog_advanced(small_testbed(), 21);
+  EXPECT_EQ(partition_hash(sys.partition()), 0x4cd280965d16b91fULL);
+  sim::CycleConfig week;
+  week.total_cycles = 8;
+  week.warmup_cycles = 1;
+  sys.run(week);
+  EXPECT_EQ(partition_hash(sys.partition()), 0xc10de53bbbe00deaULL);
+  sys.measure_server_assignment_seconds();
+  EXPECT_EQ(partition_hash(sys.partition()), 0x90e0923b010bd6f8ULL);
 }
 
 TEST(System, SupernodeJoinLatenciesAvailable) {

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
 #include "util/require.hpp"
 
 namespace cloudfog::social {
@@ -58,6 +62,46 @@ TEST(SocialGraph, OutOfRangeThrows) {
   SocialGraph g(2);
   EXPECT_THROW(g.add_friendship(0, 2), cloudfog::ConfigError);
   EXPECT_THROW(g.friends(5), cloudfog::ConfigError);
+}
+
+// The list SocialGraph::id_ordered promises for player p: the neighbours
+// below p in ascending order, then those above p in `base`'s order.
+std::vector<PlayerId> expected_id_order(const SocialGraph& base, PlayerId p) {
+  std::vector<PlayerId> lower;
+  std::vector<PlayerId> higher;
+  for (const PlayerId q : base.friends(p)) (q < p ? lower : higher).push_back(q);
+  std::sort(lower.begin(), lower.end());
+  lower.insert(lower.end(), higher.begin(), higher.end());
+  return lower;
+}
+
+std::vector<std::pair<PlayerId, PlayerId>> sorted_edges(const SocialGraph& g) {
+  auto edges = g.edges();
+  std::sort(edges.begin(), edges.end());
+  return edges;
+}
+
+TEST(SocialGraph, IdOrderedKeepsEdgesAndReordersLists) {
+  SocialGraph base(5);
+  const std::vector<std::pair<PlayerId, PlayerId>> inserted{
+      {2, 4}, {2, 0}, {3, 2}, {0, 4}, {1, 2}, {4, 1}, {3, 0}};
+  for (const auto& [a, b] : inserted) base.add_friendship(a, b);
+  // Insertion order leaves the base lists unsorted.
+  ASSERT_EQ(base.friends(2), (std::vector<PlayerId>{4, 0, 3, 1}));
+  ASSERT_EQ(base.friends(0), (std::vector<PlayerId>{2, 4, 3}));
+
+  const SocialGraph ordered = base.id_ordered();
+  EXPECT_EQ(ordered.player_count(), base.player_count());
+  EXPECT_EQ(ordered.edge_count(), base.edge_count());
+  EXPECT_EQ(sorted_edges(ordered), sorted_edges(base));
+  EXPECT_EQ(ordered.friends(0), (std::vector<PlayerId>{2, 4, 3}));
+  EXPECT_EQ(ordered.friends(1), (std::vector<PlayerId>{2, 4}));
+  EXPECT_EQ(ordered.friends(2), (std::vector<PlayerId>{0, 1, 4, 3}));
+  EXPECT_EQ(ordered.friends(3), (std::vector<PlayerId>{0, 2}));
+  EXPECT_EQ(ordered.friends(4), (std::vector<PlayerId>{0, 1, 2}));
+  for (PlayerId p = 0; p < base.player_count(); ++p) {
+    EXPECT_EQ(ordered.friends(p), expected_id_order(base, p)) << "player " << p;
+  }
 }
 
 TEST(PowerLawGraph, GeneratesRequestedSize) {
